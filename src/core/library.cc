@@ -64,7 +64,7 @@ LibraryRegistry::standard()
                         "mutex_lock", "mutex_unlock", "sem_post",
                         "sem_wait"},
         .callees = {"ukalloc", "uktime"},
-        .files = {"src/uksched/scheduler.cc"},
+        .files = {"src/uksched/scheduler.cc", "src/uksched/fiber.cc"},
         .sharedData = {"activeScheduler", "hostStackBottom",
                        "hostStackSize", "schedFakeStack"},
         .sharedVars = 5,

@@ -44,7 +44,7 @@ struct LibraryInfo
      * list the shared-data escape scanner (flexos::analysis) walks,
      * playing the role of the Coccinelle input set in paper 3.1.
      */
-    std::vector<std::string> files;
+    std::vector<std::string> files{};
 
     /**
      * Whether the library consumes external (network) input. The
@@ -59,7 +59,7 @@ struct LibraryInfo
      * escape scanner classifies these as registered-shared; mutable
      * globals that are neither registered nor DSS-annotated escape.
      */
-    std::set<std::string> sharedData;
+    std::set<std::string> sharedData{};
 
     /** @name Porting metadata (Table 1). @{ */
     int sharedVars = 0;

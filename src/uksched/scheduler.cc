@@ -5,7 +5,7 @@
 
 #include "base/logging.hh"
 
-// AddressSanitizer must be told about ucontext fiber switches or it
+// AddressSanitizer must be told about fiber switches or it
 // attributes fiber stacks to the host thread, producing false
 // stack-buffer-overflow reports (e.g. on exception unwinds inside a
 // fiber). The annotations are no-ops without ASan.
@@ -55,7 +55,8 @@ asanLeaveFiber(void **fiberFakeStackSave)
 Thread::Thread(int id, std::string name, Entry entry,
                std::size_t stackBytes)
     : id_(id), name_(std::move(name)), entry(std::move(entry)),
-      stack(stackBytes)
+      stack(std::make_unique_for_overwrite<char[]>(stackBytes)),
+      stackBytes(stackBytes)
 {
 }
 
@@ -128,7 +129,10 @@ Scheduler::cancel(Thread *t)
     panic_if(running, "Scheduler::cancel from inside a fiber");
     if (t->state_ == Thread::State::Finished)
         return;
+    // The fiber finishes without passing through dispatch, so its
+    // run-queue entry (if Ready) goes here; none may outlive it.
     if (!t->started_) {
+        dequeue(t);
         t->state_ = Thread::State::Finished; // nothing on its stack
         notifyThreadExit(*t);
         return;
@@ -138,8 +142,11 @@ Scheduler::cancel(Thread *t)
     // A fiber may swallow the cancellation with catch(...) and
     // suspend again; bound the retries to avoid livelock.
     for (int tries = 0;
-         t->state_ != Thread::State::Finished && tries < 8; ++tries)
+         t->state_ != Thread::State::Finished && tries < 8; ++tries) {
+        if (t->state_ == Thread::State::Ready)
+            dequeue(t);
         switchTo(t);
+    }
     cancelling = wasCancelling;
 }
 
@@ -166,11 +173,8 @@ Scheduler::spawnOn(int core, std::string name, Thread::Entry entry,
     raw->core = core;
     raw->pinned = pinned;
 
-    getcontext(&raw->ctx);
-    raw->ctx.uc_stack.ss_sp = raw->stack.data();
-    raw->ctx.uc_stack.ss_size = raw->stack.size();
-    raw->ctx.uc_link = nullptr;
-    makecontext(&raw->ctx, &Scheduler::trampoline, 0);
+    fiber::init(raw->ctx, raw->stack.get(), raw->stackBytes,
+                &Scheduler::trampoline);
 
     // Backend hook: e.g. the MPK backend assigns the thread its initial
     // protection domain and builds its per-compartment stack registry.
@@ -186,14 +190,9 @@ Scheduler::pin(Thread *t, int core)
 {
     panic_if(core < 0 || unsigned(core) >= runQueues.size(), "core ",
              core, " out of range (machine has ", runQueues.size(), ")");
-    if (t->core != core && t->state_ == Thread::State::Ready) {
-        auto &q = runQueues[t->core];
-        auto it = std::find(q.begin(), q.end(), t);
-        if (it != q.end()) {
-            q.erase(it);
-            runQueues[core].push_back(t);
-        }
-    }
+    if (t->core != core && t->state_ == Thread::State::Ready &&
+        dequeue(t))
+        runQueues[core].push_back(t);
     t->core = core;
     t->pinned = true;
 }
@@ -234,13 +233,15 @@ Scheduler::threadMain()
     __sanitizer_start_switch_fiber(nullptr, hostStackBottom,
                                    hostStackSize);
 #endif
-    swapcontext(&self->ctx, &schedCtx);
+    fiber::swap(self->ctx, schedCtx);
     panic("resumed a finished thread");
 }
 
 void
 Scheduler::switchTo(Thread *t)
 {
+    panic_if(t->state_ == Thread::State::Finished,
+             "switch to finished thread ", t->name_);
     // Bank the outgoing core's register window and make the thread's
     // home core the machine's active context (no-op on 1 core).
     mach.setActiveCore(t->core);
@@ -266,10 +267,10 @@ Scheduler::switchTo(Thread *t)
     Scheduler *prevActive = activeScheduler;
     activeScheduler = this;
 #ifdef FLEXOS_ASAN_FIBERS
-    __sanitizer_start_switch_fiber(&schedFakeStack, t->stack.data(),
-                                   t->stack.size());
+    __sanitizer_start_switch_fiber(&schedFakeStack, t->stack.get(),
+                                   t->stackBytes);
 #endif
-    swapcontext(&schedCtx, &t->ctx);
+    fiber::swap(schedCtx, t->ctx);
 #ifdef FLEXOS_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(schedFakeStack, nullptr, nullptr);
 #endif
@@ -305,7 +306,7 @@ Scheduler::switchOut()
 #ifdef FLEXOS_ASAN_FIBERS
     asanLeaveFiber(&self->asanFakeStack);
 #endif
-    swapcontext(&self->ctx, &schedCtx);
+    fiber::swap(self->ctx, schedCtx);
 #ifdef FLEXOS_ASAN_FIBERS
     asanEnterFiber(self->asanFakeStack);
 #endif
@@ -323,20 +324,15 @@ Scheduler::anyQueued() const
     return false;
 }
 
-void
-Scheduler::pruneStale()
+bool
+Scheduler::dequeue(Thread *t)
 {
-    // Queue entries can outlive their thread's readiness (cancel()
-    // finishes a queued thread in place); drop them before the idle
-    // checks below so a queue of corpses doesn't look like work.
-    for (auto &q : runQueues) {
-        q.erase(std::remove_if(q.begin(), q.end(),
-                               [](Thread *t) {
-                                   return t->state() !=
-                                          Thread::State::Ready;
-                               }),
-                q.end());
-    }
+    auto &q = runQueues[t->core];
+    auto it = std::find(q.begin(), q.end(), t);
+    if (it == q.end())
+        return false;
+    q.erase(it);
+    return true;
 }
 
 bool
@@ -417,7 +413,7 @@ Scheduler::stealWork()
         // victim; the tail has waited least and migrates cheapest.
         for (auto it = vq.rbegin(); it != vq.rend(); ++it) {
             Thread *t = *it;
-            if (t->pinned || t->state_ != Thread::State::Ready)
+            if (t->pinned)
                 continue;
             vq.erase(std::next(it).base());
             t->core = int(thief);
@@ -477,7 +473,6 @@ bool
 Scheduler::run()
 {
     while (true) {
-        pruneStale();
         serviceSleepers(true);
         stealWork();
         if (!dispatchOne())
@@ -499,7 +494,6 @@ Scheduler::runUntil(const std::function<bool()> &pred,
     while (!pred()) {
         if (budget-- == 0)
             return false;
-        pruneStale();
         serviceSleepers(true);
         stealWork();
         if (!dispatchOne())
@@ -624,11 +618,7 @@ Scheduler::coreHasRunnable(int core) const
     panic_if(core < 0 ||
                  static_cast<std::size_t>(core) >= runQueues.size(),
              "core ", core, " out of range");
-    for (const Thread *t : runQueues[static_cast<std::size_t>(core)]) {
-        if (t->state() == Thread::State::Ready)
-            return true;
-    }
-    return false;
+    return !runQueues[static_cast<std::size_t>(core)].empty();
 }
 
 bool

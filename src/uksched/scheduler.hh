@@ -3,9 +3,10 @@
  * uksched: the cooperative scheduler micro-library.
  *
  * All simulated concurrency (application threads, EPT RPC server pools,
- * network pollers) runs as ucontext fibers multiplexed on the single host
- * thread, round-robin, switching only at explicit yield/block points.
- * This makes every run deterministic and lets the virtual clock be exact.
+ * network pollers) runs as fibers multiplexed on the single host thread,
+ * one run queue per simulated core, switching only at explicit
+ * yield/block points (the switch itself lives in fiber.hh). This makes
+ * every run deterministic and lets the virtual clock be exact.
  *
  * The scheduler is part of FlexOS' trusted computing base (paper 3.3) and
  * exposes the backend hook API of paper 3.2: isolation backends register
@@ -16,8 +17,6 @@
 #ifndef FLEXOS_UKSCHED_SCHEDULER_HH
 #define FLEXOS_UKSCHED_SCHEDULER_HH
 
-#include <ucontext.h>
-
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "machine/machine.hh"
+#include "uksched/fiber.hh"
 
 namespace flexos {
 
@@ -111,8 +111,13 @@ class Thread
     State state_ = State::Ready;
     std::string error_;
     Entry entry;
-    ucontext_t ctx;
-    std::vector<char> stack;
+    fiber::Context ctx{}; ///< saved context while suspended
+    /**
+     * The fiber's host stack, left uninitialized: zero-filling it
+     * would fault in every page, though a fiber touches only a few.
+     */
+    std::unique_ptr<char[]> stack;
+    std::size_t stackBytes;
     std::uint64_t wakeAtCycles = 0;
     /**
      * Earliest cycle (on the thread's own core) it may run: stamped
@@ -299,8 +304,8 @@ class Scheduler
     /** Move due sleepers to their run queues; force-wake if all idle. */
     bool serviceSleepers(bool mayAdvanceClock);
 
-    /** Drop run-queue entries whose thread is no longer Ready. */
-    void pruneStale();
+    /** Remove t's run-queue entry, if any. @return whether it had one */
+    bool dequeue(Thread *t);
 
     /** Migrate ready unpinned threads from loaded cores to idle ones. */
     void stealWork();
@@ -320,7 +325,11 @@ class Scheduler
 
     Machine &mach;
     std::vector<std::unique_ptr<Thread>> threads;
-    /** One run queue per machine core. */
+    /**
+     * One run queue per machine core. Every entry is a Ready thread:
+     * whatever takes a thread off the Ready state (dispatch, cancel)
+     * also removes its entry.
+     */
     std::vector<std::deque<Thread *>> runQueues;
     /** Per-core dispatch counters (epoch-ack safe points). */
     std::vector<std::uint64_t> coreDispatches;
@@ -355,7 +364,7 @@ class Scheduler
     unsigned nextDispatchCore = 0; ///< round-robin dispatch cursor
 
     Thread *running = nullptr;
-    ucontext_t schedCtx;
+    fiber::Context schedCtx{};
     int nextId = 1;
     std::uint64_t switchCount = 0;
     bool cancelling = false; ///< teardown: suspension points throw

@@ -101,15 +101,18 @@ TEST(CompareSafety, OrderAxiomsHoldOnRandomSamples)
             SafetyOrder ab = compareSafety(a, b);
             SafetyOrder ba = compareSafety(b, a);
             // Antisymmetry.
-            if (ab == SafetyOrder::Less)
+            if (ab == SafetyOrder::Less) {
                 EXPECT_EQ(ba, SafetyOrder::Greater);
-            if (ab == SafetyOrder::Equal)
+            }
+            if (ab == SafetyOrder::Equal) {
                 EXPECT_EQ(ba, SafetyOrder::Equal);
+            }
             // Transitivity.
             for (const auto &c : pts) {
                 if (ab == SafetyOrder::Less &&
-                    compareSafety(b, c) == SafetyOrder::Less)
+                    compareSafety(b, c) == SafetyOrder::Less) {
                     EXPECT_EQ(compareSafety(a, c), SafetyOrder::Less);
+                }
             }
         }
     }

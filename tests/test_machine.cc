@@ -153,7 +153,7 @@ TEST(Machine, AccessExtendingIntoDeniedRegionFaults)
 TEST(MemoryMap, RemoveAndRetag)
 {
     MemoryMap mm;
-    char buf[64];
+    char buf[64] = {};
     mm.add(buf, 64, 1, "a");
     mm.retag(buf, 9);
     EXPECT_EQ(mm.find(buf)->key, 9);

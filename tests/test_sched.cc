@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for uksched: spawn/join/yield ordering, blocking,
- * virtual-time sleep, mutex/semaphore semantics, backend hooks, and the
- * free-running (uncharged) thread mode.
+ * virtual-time sleep, mutex/semaphore semantics, backend hooks, the
+ * free-running (uncharged) thread mode, cancellation, and the contract
+ * every fiber switch keeps (floating-point control state, stack
+ * alignment, callee-saved registers, unwinding across the fiber stack).
  */
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -279,6 +284,194 @@ TEST_F(SchedFixture, RunUntilReturnsFalseWhenWorkDriesUp)
 {
     sched.spawn("short", [] {});
     EXPECT_FALSE(sched.runUntil([] { return false; }, 1000));
+}
+
+TEST(SchedCancel, CancelDropsQueuedEntries)
+{
+    // cancel() finishes threads outside dispatch: an unstarted one in
+    // place, a started Ready one by resuming it directly. Neither may
+    // leave an entry behind in its run queue.
+    Machine mach(TimingModel{}, 2);
+    MachineScope scope{mach};
+    Scheduler sched{mach};
+    int spins = 0, done = 0;
+    Thread *started = sched.spawnOn(0, "spinner", [&] {
+        for (;;) {
+            ++spins;
+            sched.yield();
+        }
+    });
+    for (int core = 0; core < 2; ++core) {
+        sched.spawnOn(core, "worker", [&] {
+            for (int i = 0; i < 3; ++i)
+                sched.yield();
+            ++done;
+        });
+    }
+    ASSERT_TRUE(sched.runUntil([&] { return spins == 2; }));
+    EXPECT_EQ(started->state(), Thread::State::Ready);
+    Thread *unstarted = sched.spawnOn(1, "unstarted", [] {
+        ADD_FAILURE() << "a cancelled thread ran";
+    });
+    sched.spawnOn(1, "late", [&] { ++done; });
+
+    sched.cancel(unstarted);
+    sched.cancel(started);
+    EXPECT_EQ(unstarted->state(), Thread::State::Finished);
+    EXPECT_EQ(started->state(), Thread::State::Finished);
+
+    EXPECT_TRUE(sched.run());
+    EXPECT_EQ(done, 3);
+    EXPECT_EQ(spins, 2);
+    // Core 0: spinner x2, its cancel resume, worker x4. Core 1:
+    // worker x4, late. The cancelled entries cost no dispatch.
+    EXPECT_EQ(sched.switches(), 12u);
+    EXPECT_EQ(sched.dispatchesOn(0), 7u);
+    EXPECT_EQ(sched.dispatchesOn(1), 5u);
+}
+
+// --- The fiber-switch contract -------------------------------------------
+
+TEST_F(SchedFixture, FiberKeepsItsRoundingMode)
+{
+    volatile double one = 1.0, three = 3.0;
+    const double nearest = one / three;
+    int upward = 0, toNearest = 0;
+    sched.spawn("upward", [&] {
+        std::fesetround(FE_UPWARD);
+        for (int i = 0; i < 10; ++i) {
+            sched.yield();
+            // x87 control word (fegetround) and MXCSR (SSE division).
+            upward += std::fegetround() == FE_UPWARD && one / three > nearest;
+        }
+    });
+    sched.spawn("nearest", [&] {
+        for (int i = 0; i < 10; ++i) {
+            sched.yield();
+            toNearest +=
+                std::fegetround() == FE_TONEAREST && one / three == nearest;
+        }
+    });
+    bool schedNearest = true;
+    EXPECT_TRUE(sched.runUntil([&] {
+        schedNearest = schedNearest && std::fegetround() == FE_TONEAREST &&
+                       one / three == nearest;
+        return !sched.hasLiveThreads();
+    }));
+    EXPECT_EQ(upward, 10);
+    EXPECT_EQ(toNearest, 10);
+    EXPECT_TRUE(schedNearest);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+bool
+localIsAligned16()
+{
+    alignas(16) char probe[16];
+    volatile std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(probe);
+    return addr % 16 == 0;
+}
+
+TEST_F(SchedFixture, FiberStackIsAligned)
+{
+    bool firstEntry = false;
+    int alignedResumes = 0;
+    sched.spawn("aligned", [&] {
+        firstEntry = localIsAligned16();
+        for (int i = 0; i < 1000; ++i) {
+            sched.yield();
+            alignedResumes += localIsAligned16();
+        }
+    });
+    sched.spawn("peer", [&] {
+        for (int i = 0; i < 1000; ++i)
+            sched.yield();
+    });
+    EXPECT_TRUE(sched.run());
+    EXPECT_TRUE(firstEntry);
+    EXPECT_EQ(alignedResumes, 1000);
+}
+
+/** A register-hungry running checksum; yields between rounds. */
+std::uint64_t
+checksum(std::uint64_t seed, int rounds, Scheduler *sched)
+{
+    std::uint64_t a = seed, b = ~seed, c = seed * 3, d = seed ^ 0x5bd1e995;
+    for (int i = 0; i < rounds; ++i) {
+        a += b ^ std::uint64_t(i);
+        b = (b << 7 | b >> 57) ^ c;
+        c += d * 31;
+        d ^= a >> 3;
+        if (sched)
+            sched->yield();
+    }
+    return a ^ b ^ c ^ d;
+}
+
+TEST_F(SchedFixture, FiberLocalsSurviveInterleavedYields)
+{
+    std::uint64_t x = 0, y = 0;
+    sched.spawn("x", [&] { x = checksum(1, 10'000, &sched); });
+    sched.spawn("y", [&] { y = checksum(2, 10'000, &sched); });
+    EXPECT_TRUE(sched.run());
+    EXPECT_EQ(x, checksum(1, 10'000, nullptr));
+    EXPECT_EQ(y, checksum(2, 10'000, nullptr));
+    EXPECT_NE(x, y);
+}
+
+struct FrameGuard
+{
+    int &unwound;
+    ~FrameGuard() { ++unwound; }
+};
+
+/**
+ * Recurse to depth 64, yielding every 16 frames; there, park on
+ * `park` if given, then throw.
+ */
+int
+descend(Scheduler &s, int depth, int &unwound, WaitQueue *park)
+{
+    FrameGuard guard{unwound};
+    if (depth % 16 == 0)
+        s.yield();
+    if (depth == 64) {
+        if (park)
+            park->wait();
+        throw std::runtime_error("thrown 64 frames deep");
+    }
+    return descend(s, depth + 1, unwound, park) + 1;
+}
+
+TEST_F(SchedFixture, DeepExceptionLandsInThreadError)
+{
+    int unwound = 0;
+    Thread *t = sched.spawn("deep", [&] {
+        descend(sched, 1, unwound, nullptr);
+    });
+    sched.spawn("peer", [&] {
+        for (int i = 0; i < 8; ++i)
+            sched.yield();
+    });
+    EXPECT_TRUE(sched.run());
+    EXPECT_TRUE(t->failed());
+    EXPECT_EQ(t->error(), "thrown 64 frames deep");
+    EXPECT_EQ(unwound, 64);
+}
+
+TEST_F(SchedFixture, CancelUnwindsDeepFiber)
+{
+    int unwound = 0;
+    WaitQueue never(sched);
+    Thread *t = sched.spawn("parked", [&] {
+        descend(sched, 1, unwound, &never);
+    });
+    EXPECT_FALSE(sched.run()); // parked forever: deadlock
+    EXPECT_EQ(unwound, 0);
+    sched.cancel(t);
+    EXPECT_EQ(t->state(), Thread::State::Finished);
+    EXPECT_FALSE(t->failed());
+    EXPECT_EQ(unwound, 64);
 }
 
 } // namespace
