@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 
 #include "base/rng.hh"
@@ -116,6 +117,45 @@ TEST(CompareSafety, OrderAxiomsHoldOnRandomSamples)
             }
         }
     }
+}
+
+/**
+ * Oracle: the committed tests/golden/safety_order.txt records the
+ * order over seven wayfinder spaces as an earlier compareSafety
+ * computed it; the current order must reproduce every pair.
+ */
+TEST(CompareSafety, ReproducesOrderOracle)
+{
+    const std::pair<const char *, std::vector<ConfigPoint>> spaces[] = {
+        {"fig6", wayfinder::fig6Space()},
+        {"mixedMechanism", wayfinder::mixedMechanismSpace()},
+        {"gateFlavor", wayfinder::gateFlavorSpace()},
+        {"coreCount", wayfinder::coreCountSpace()},
+        {"batching", wayfinder::batchingSpace()},
+        {"controller", wayfinder::controllerSpace()},
+        {"leastPrivilege", wayfinder::leastPrivilegeSpace()},
+    };
+    std::vector<std::string> rows;
+    for (const auto &[name, space] : spaces) {
+        for (std::size_t i = 0; i < space.size(); ++i) {
+            static const char sym[] = {'<', '=', '>', '~'};
+            std::string row =
+                std::string(name) + " " + std::to_string(i) + " ";
+            for (const ConfigPoint &b : space)
+                row += sym[static_cast<int>(compareSafety(space[i], b))];
+            rows.push_back(std::move(row));
+        }
+    }
+
+    std::ifstream in(FLEXOS_REPO_ROOT "/tests/golden/safety_order.txt");
+    ASSERT_TRUE(in) << "missing tests/golden/safety_order.txt";
+    std::vector<std::string> golden;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty() && line[0] != '#')
+            golden.push_back(line);
+    ASSERT_EQ(golden.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i], golden[i]);
 }
 
 TEST(Poset, HasseEdgesSkipTransitive)
