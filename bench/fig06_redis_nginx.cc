@@ -112,11 +112,7 @@ coresSweep()
     std::vector<Sample> out;
     for (const auto &pick : picks) {
         for (unsigned cores : {1u, 2u, 4u}) {
-            ConfigPoint p;
-            p.partition = pick.part;
-            p.hardening.assign(4, 0);
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
+            ConfigPoint p = wayfinder::basePoint(pick.part);
             p.cores = static_cast<int>(cores);
             out.push_back({"redis", pick.name, cores, 1,
                            wayfinder::measureRedis(p, 300),
@@ -130,13 +126,12 @@ coresSweep()
     // fetches a burst and crosses once per burst when batch > 1.
     for (int batch : {1, 8}) {
         for (unsigned cores : {1u, 4u}) {
-            ConfigPoint p;
-            p.partition = {0, 0, 0, 1};
-            p.hardening.assign(4, 0);
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
+            ConfigPoint p = wayfinder::basePoint({0, 0, 0, 1});
             p.cores = static_cast<int>(cores);
-            p.gateBatch = batch;
+            if (batch > 1)
+                p.rules.push_back({.from = "*",
+                                   .to = "*",
+                                   .batch = std::uint64_t(batch)});
             out.push_back({"redis", "C lwip split", cores, batch,
                            wayfinder::measureRedis(p, 300),
                            wayfinder::auditScore(p, "libredis")});

@@ -539,6 +539,31 @@ attackSection(const std::vector<adversary::AttackClass> &classes,
     return 0;
 }
 
+/**
+ * Measure every point of a sweep on Redis and print it normalized to
+ * the sweep's fastest point, under "<dimension> dimension: Redis, <n>
+ * <what>".
+ */
+void
+redisScatter(const char *dimension, const char *what,
+             const std::vector<ConfigPoint> &space)
+{
+    std::vector<double> perf;
+    double best = 0;
+    for (const ConfigPoint &p : space) {
+        perf.push_back(wayfinder::measureRedis(p, 150));
+        best = std::max(best, perf.back());
+    }
+    std::printf("\n=== %s dimension: Redis, %zu %s ===\n", dimension,
+                space.size(), what);
+    std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
+                "configuration");
+    for (std::size_t i = 0; i < space.size(); ++i)
+        std::printf("%-6d %-14.3f %s\n", space[i].compartments(),
+                    perf[i] / best,
+                    wayfinder::pointLabel(space[i], "app").c_str());
+}
+
 } // namespace
 
 int
@@ -654,46 +679,17 @@ main(int argc, char **argv)
     // points sit between the homogeneous corners — e.g. keeping only
     // the network boundary on EPT buys VM-grade isolation where it
     // matters at a fraction of the all-EPT cost.
-    std::vector<ConfigPoint> mixed = wayfinder::mixedMechanismSpace();
-    std::vector<double> mixedRedis;
-    double mixedMax = 0;
-    for (const ConfigPoint &p : mixed) {
-        mixedRedis.push_back(wayfinder::measureRedis(p, 150));
-        mixedMax = std::max(mixedMax, mixedRedis.back());
-    }
-    std::printf("\n=== Mixed-mechanism dimension: Redis, %zu per-block "
-                "mechanism assignments ===\n",
-                mixed.size());
-    std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
-                "configuration");
-    for (std::size_t i = 0; i < mixed.size(); ++i) {
-        std::printf("%-6d %-14.3f %s\n", mixed[i].compartments(),
-                    mixedRedis[i] / mixedMax,
-                    wayfinder::pointLabel(mixed[i], "app").c_str());
-    }
+    redisScatter("Mixed-mechanism", "per-block mechanism assignments",
+                 wayfinder::mixedMechanismSpace());
 
     // --- Per-boundary gate-flavour dimension -------------------------
     // The MPK flavour is a (from, to) knob of the gate matrix, not a
     // global: each block's boundary picks light (ERIM-style) or dss
     // (HODOR-style), so a hot trusted boundary can run the cheap gate
     // while an attacker-facing one keeps the register-scrubbing one.
-    std::vector<ConfigPoint> flav = wayfinder::gateFlavorSpace();
-    std::vector<double> flavRedis;
-    double flavMax = 0;
-    for (const ConfigPoint &p : flav) {
-        flavRedis.push_back(wayfinder::measureRedis(p, 150));
-        flavMax = std::max(flavMax, flavRedis.back());
-    }
-    std::printf("\n=== Gate-flavour dimension: Redis, %zu per-block "
-                "flavour assignments (light < dss per boundary) ===\n",
-                flav.size());
-    std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
-                "configuration");
-    for (std::size_t i = 0; i < flav.size(); ++i) {
-        std::printf("%-6d %-14.3f %s\n", flav[i].compartments(),
-                    flavRedis[i] / flavMax,
-                    wayfinder::pointLabel(flav[i], "app").c_str());
-    }
+    redisScatter("Gate-flavour",
+                 "per-block flavour assignments (light < dss per boundary)",
+                 wayfinder::gateFlavorSpace());
 
     // --- Vectored-crossing dimension ---------------------------------
     // batch/elide are boundary knobs like flavour: batch width is
@@ -701,24 +697,10 @@ main(int argc, char **argv)
     // enforcement), the elided set orders points by subset in the
     // poset. The batched RX path shows up wherever lwip sits behind a
     // boundary: the pollers fetch a burst and cross once per burst.
-    std::vector<ConfigPoint> bat = wayfinder::batchingSpace();
-    std::vector<double> batRedis;
-    double batMax = 0;
-    for (const ConfigPoint &p : bat) {
-        batRedis.push_back(wayfinder::measureRedis(p, 150));
-        batMax = std::max(batMax, batRedis.back());
-    }
-    std::printf("\n=== Vectored-crossing dimension: Redis, %zu "
-                "batch/elide points (batch perf-only, elide subset-"
-                "ordered) ===\n",
-                bat.size());
-    std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
-                "configuration");
-    for (std::size_t i = 0; i < bat.size(); ++i) {
-        std::printf("%-6d %-14.3f %s\n", bat[i].compartments(),
-                    batRedis[i] / batMax,
-                    wayfinder::pointLabel(bat[i], "app").c_str());
-    }
+    redisScatter("Vectored-crossing",
+                 "batch/elide points (batch perf-only, elide subset-"
+                 "ordered)",
+                 wayfinder::batchingSpace());
 
     // --- EPT batching on request/response RX -------------------------
     // Batching amortizes per-call gate cost, so it needs real bursts:
@@ -729,13 +711,10 @@ main(int argc, char **argv)
     // stack and pays none. The delta below is the honest cost of
     // choosing a batched boundary for a workload that never bursts.
     {
-        ConfigPoint eptPt;
-        eptPt.partition = {0, 0, 0, 1};
-        eptPt.hardening.assign(4, 0);
-        eptPt.blockMechanism = {2, 2}; // vm-ept both blocks
-        eptPt.sharingRank = 1;
+        ConfigPoint eptPt =
+            wayfinder::basePoint({0, 0, 0, 1}, Mechanism::VmEpt);
         double unbatched = wayfinder::measureRedis(eptPt, 150);
-        eptPt.gateBatch = 8;
+        eptPt.rules.push_back({.from = "*", .to = "*", .batch = 8});
         double batched = wayfinder::measureRedis(eptPt, 150);
         std::printf("\n=== EPT batching vs request/response RX (lwip "
                     "split, all-EPT; bursts of 1 cannot amortize — "
@@ -851,23 +830,9 @@ libraries:
     // wayfinder enumerates only subsets of edges the static call graph
     // can spare — a point denying a required edge would be rejected at
     // image build, so denied edges are never swept as reachable.
-    std::vector<ConfigPoint> lp = wayfinder::leastPrivilegeSpace();
-    std::vector<double> lpRedis;
-    double lpMax = 0;
-    for (const ConfigPoint &p : lp) {
-        lpRedis.push_back(wayfinder::measureRedis(p, 150));
-        lpMax = std::max(lpMax, lpRedis.back());
-    }
-    std::printf("\n=== Least-privilege dimension: Redis, %zu "
-                "deny-rule subsets over the Figure 8 partitions ===\n",
-                lp.size());
-    std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
-                "configuration");
-    for (std::size_t i = 0; i < lp.size(); ++i) {
-        std::printf("%-6d %-14.3f %s\n", lp[i].compartments(),
-                    lpRedis[i] / lpMax,
-                    wayfinder::pointLabel(lp[i], "app").c_str());
-    }
+    redisScatter("Least-privilege",
+                 "deny-rule subsets over the Figure 8 partitions",
+                 wayfinder::leastPrivilegeSpace());
 
     // --- Denied and throttled boundaries under load ------------------
     // A rate-limited boundary back-pressures gate storms (stall) and

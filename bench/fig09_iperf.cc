@@ -185,10 +185,8 @@ emitJson(const char *path, const std::vector<unsigned> &flowCounts,
     // The audit-score axis: the static boundary-audit hazard score of
     // the swept configuration (one config here, so one top-level
     // field; lower = cleaner boundaries).
-    ConfigPoint nonePt;
-    nonePt.partition = {0, 0, 0, 0};
-    nonePt.hardening.assign(4, 0);
-    nonePt.mechanismRank = 0; // none
+    ConfigPoint nonePt =
+        wayfinder::basePoint({0, 0, 0, 0}, Mechanism::None);
     std::fprintf(f, "{\n"
                     "  \"bench\": \"fig09_iperf_multiflow\",\n"
                     "  \"config\": \"flexos-none\",\n"

@@ -1,16 +1,17 @@
 /**
  * @file
- * Figure 11a reproduction (google-benchmark): latency of allocating
- * 1..3 shared 1-byte stack variables under the three data-sharing
- * strategies — shared-heap conversion, DSS, and fully shared stacks.
+ * Figure 11a reproduction: latency of allocating 1..3 shared 1-byte
+ * stack variables under the three data-sharing strategies — shared-heap
+ * conversion, DSS, and fully shared stacks.
  *
- * The reported `vcycles` counter is virtual machine cycles per
- * operation (the paper's y axis); wall time of the simulator is
- * irrelevant. Expected: heap 100-300+ cycles growing with the variable
- * count; DSS and shared stack constant ~2 cycles.
+ * Each row prints `vcycles`, virtual machine cycles per operation (the
+ * paper's y axis); wall time of the simulator is irrelevant. Expected:
+ * heap 100-300+ cycles growing with the variable count; DSS and shared
+ * stack constant ~2 cycles.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <string>
 
 #include "apps/deploy.hh"
 #include "core/dss.hh"
@@ -51,7 +52,7 @@ measure(StackSharing sharing, int nVars, std::uint64_t iters)
             {
                 DssFrame frame(dep.image());
                 for (int v = 0; v < nVars; ++v)
-                    benchmark::DoNotOptimize(frame.alloc(1));
+                    frame.alloc(1);
             }
             total += m.cycles() - before;
         }
@@ -61,29 +62,26 @@ measure(StackSharing sharing, int nVars, std::uint64_t iters)
     return static_cast<double>(total) / static_cast<double>(iters);
 }
 
-void
-allocBench(benchmark::State &state, StackSharing sharing)
-{
-    int nVars = static_cast<int>(state.range(0));
-    double perOp = measure(sharing, nVars, 2000);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(perOp);
-    state.counters["vcycles"] = perOp;
-}
-
 } // namespace
 
-BENCHMARK_CAPTURE(allocBench, heap, StackSharing::Heap)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
-BENCHMARK_CAPTURE(allocBench, dss, StackSharing::Dss)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
-BENCHMARK_CAPTURE(allocBench, shared_stack, StackSharing::SharedStack)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
-
-BENCHMARK_MAIN();
+int
+main()
+{
+    static const struct
+    {
+        const char *name;
+        StackSharing sharing;
+    } strategies[] = {
+        {"heap", StackSharing::Heap},
+        {"dss", StackSharing::Dss},
+        {"shared_stack", StackSharing::SharedStack},
+    };
+    for (const auto &s : strategies)
+        for (int nVars = 1; nVars <= 3; ++nVars)
+            std::printf("%-30s vcycles=%g\n",
+                        ("allocBench/" + std::string(s.name) + "/" +
+                         std::to_string(nVars))
+                            .c_str(),
+                        measure(s.sharing, nVars, 2000));
+    return 0;
+}

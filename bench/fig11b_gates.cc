@@ -1,16 +1,15 @@
 /**
  * @file
- * Figure 11b reproduction (google-benchmark): raw gate latencies —
- * plain function call, MPK light gate, MPK DSS gate, EPT RPC gate,
- * and Linux system calls with/without KPTI.
+ * Figure 11b reproduction: raw gate latencies — plain function call,
+ * MPK light gate, MPK DSS gate, EPT RPC gate, and Linux system calls
+ * with/without KPTI.
  *
- * The `vcycles` counter is virtual cycles per gate round trip; paper
+ * Each row prints `vcycles`, virtual cycles per gate round trip; paper
  * values: function 2, MPK-light 62, MPK-dss 108, EPT 462, syscall 470,
  * syscall-nokpti 146.
  */
 
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
 #include <functional>
 #include <vector>
 
@@ -45,10 +44,17 @@ libraries:
     return text;
 }
 
-/** Average virtual cycles of one cross-compartment gate round trip. */
+/**
+ * Average virtual cycles per call of a cross-compartment gate round
+ * trip. With width > 0 the calls ride vectored crossings of that
+ * width — the amortization the `batch:` knob buys: one backend
+ * transition (one EPT doorbell) per chunk plus a per-slot dispatch
+ * cost, instead of a full round trip per call. Width 1 is the
+ * identity case and must match width 0 exactly.
+ */
 double
-gateCost(const std::string &cfgText, bool sameCompartment = false,
-         bool noKpti = false)
+gateCost(const std::string &cfgText, std::size_t width = 0,
+         bool sameCompartment = false, bool noKpti = false)
 {
     DeployOptions opts;
     opts.withNet = false;
@@ -62,47 +68,6 @@ gateCost(const std::string &cfgText, bool sameCompartment = false,
     const std::string callee = sameCompartment ? "libredis" : "lwip";
     const char *entry = sameCompartment ? "redis_main" : "recv";
     constexpr std::uint64_t iters = 2000;
-
-    Cycles measured = 0;
-    bool done = false;
-    dep.image().spawnIn("libredis", "gate-bench", [&] {
-        Machine &m = dep.machine();
-        Cycles before = m.cycles();
-        for (std::uint64_t i = 0; i < iters; ++i)
-            dep.image().gate(callee, entry, [] {});
-        measured = m.cycles() - before;
-        done = true;
-    });
-    dep.scheduler().runUntil([&] { return done; });
-    return static_cast<double>(measured) / static_cast<double>(iters);
-}
-
-void
-gateBench(benchmark::State &state, const std::string &cfg,
-          bool sameComp, bool noKpti)
-{
-    double perOp = gateCost(cfg, sameComp, noKpti);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(perOp);
-    state.counters["vcycles"] = perOp;
-}
-
-/**
- * Average virtual cycles per LOGICAL call when calls ride vectored
- * crossings of the given width — the amortization the `batch:` knob
- * buys: one backend transition (one EPT doorbell) per chunk plus a
- * per-slot dispatch cost, instead of a full round trip per call.
- * width 1 is the identity case and must match gateCost() exactly.
- */
-double
-batchedGateCost(const std::string &cfgText, std::size_t width)
-{
-    DeployOptions opts;
-    opts.withNet = false;
-    opts.withFs = false;
-    Deployment dep(cfgText, opts);
-
-    constexpr std::uint64_t iters = 2000;
     static_assert(iters % 8 == 0 && iters % 4 == 0,
                   "iters must divide evenly into batch widths");
     std::vector<std::function<void()>> bodies(width, [] {});
@@ -112,8 +77,12 @@ batchedGateCost(const std::string &cfgText, std::size_t width)
     dep.image().spawnIn("libredis", "gate-bench", [&] {
         Machine &m = dep.machine();
         Cycles before = m.cycles();
-        for (std::uint64_t i = 0; i < iters; i += width)
-            dep.image().gateBatch("lwip", "recv", bodies);
+        for (std::uint64_t i = 0; i < iters; i += width ? width : 1) {
+            if (width)
+                dep.image().gateBatch(callee, entry, bodies);
+            else
+                dep.image().gate(callee, entry, [] {});
+        }
         measured = m.cycles() - before;
         done = true;
     });
@@ -121,71 +90,59 @@ batchedGateCost(const std::string &cfgText, std::size_t width)
     return static_cast<double>(measured) / static_cast<double>(iters);
 }
 
-void
-batchedGateBench(benchmark::State &state, const std::string &cfg,
-                 std::size_t width)
-{
-    double perOp = batchedGateCost(cfg, width);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(perOp);
-    state.counters["vcycles"] = perOp;
-}
-
 } // namespace
 
-BENCHMARK_CAPTURE(gateBench, function_call, twoComp("intel-mpk"), true,
-                  false);
-BENCHMARK_CAPTURE(gateBench, mpk_light, twoComp("intel-mpk", "light"),
-                  false, false);
-BENCHMARK_CAPTURE(gateBench, mpk_dss, twoComp("intel-mpk", "dss"), false,
-                  false);
-BENCHMARK_CAPTURE(gateBench, ept, twoComp("vm-ept"), false, false);
-BENCHMARK_CAPTURE(gateBench, syscall, twoComp("linux-pt"), false, false);
-BENCHMARK_CAPTURE(gateBench, syscall_nokpti, twoComp("linux-pt"), false,
-                  true);
-BENCHMARK_CAPTURE(gateBench, sel4_ipc, twoComp("sel4-ipc"), false,
-                  false);
-BENCHMARK_CAPTURE(gateBench, cubicle_pkey_mprotect,
-                  twoComp("cubicle-mpk"), false, false);
-BENCHMARK_CAPTURE(gateBench, cheri_sketch, twoComp("cheri"), false,
-                  false);
-
-// --- Vectored crossings: the `batch:` / `coalesce:` / `elide:` knobs.
-// batch: 1 is regression-pinned to the sequential gate (vcycle-
-// identical by construction); batch: 8 amortizes the transition —
-// one EPT doorbell per eight calls — and the EPT step-change is the
-// headline number. The elide rows show repeated same-boundary
-// crossings shedding the entry-validate / return-scrub charges.
-BENCHMARK_CAPTURE(batchedGateBench, ept_batch1,
-                  twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 1}"),
-                  1);
-BENCHMARK_CAPTURE(batchedGateBench, ept_batch4,
-                  twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 4}"),
-                  4);
-BENCHMARK_CAPTURE(batchedGateBench, ept_batch8,
-                  twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 8}"),
-                  8);
-BENCHMARK_CAPTURE(batchedGateBench, ept_batch8_coalesce,
-                  twoComp("vm-ept", nullptr,
-                          "'*' -> '*': {batch: 8, coalesce: 2000}"),
-                  8);
-BENCHMARK_CAPTURE(batchedGateBench, mpk_dss_batch8,
-                  twoComp("intel-mpk", "dss", "'*' -> '*': {batch: 8}"),
-                  8);
-BENCHMARK_CAPTURE(batchedGateBench, cheri_batch8,
-                  twoComp("cheri", nullptr, "'*' -> '*': {batch: 8}"),
-                  8);
-BENCHMARK_CAPTURE(gateBench, mpk_dss_validate,
-                  twoComp("intel-mpk", "dss",
-                          "'*' -> '*': {validate: true}"),
-                  false, false);
-BENCHMARK_CAPTURE(gateBench, mpk_dss_elide_both,
-                  twoComp("intel-mpk", "dss",
-                          "'*' -> '*': {validate: true, elide: both}"),
-                  false, false);
-BENCHMARK_CAPTURE(gateBench, ept_elide_scrub,
-                  twoComp("vm-ept", nullptr,
-                          "'*' -> '*': {elide: scrub}"),
-                  false, false);
-
-BENCHMARK_MAIN();
+int
+main()
+{
+    struct Row
+    {
+        const char *name;
+        std::string cfg;
+        std::size_t width = 0; ///< gateCost's batch width
+        bool sameCompartment = false;
+        bool noKpti = false;
+    };
+    const Row rows[] = {
+        {"gateBench/function_call", twoComp("intel-mpk"), 0, true},
+        {"gateBench/mpk_light", twoComp("intel-mpk", "light")},
+        {"gateBench/mpk_dss", twoComp("intel-mpk", "dss")},
+        {"gateBench/ept", twoComp("vm-ept")},
+        {"gateBench/syscall", twoComp("linux-pt")},
+        {"gateBench/syscall_nokpti", twoComp("linux-pt"), 0, false, true},
+        {"gateBench/sel4_ipc", twoComp("sel4-ipc")},
+        {"gateBench/cubicle_pkey_mprotect", twoComp("cubicle-mpk")},
+        {"gateBench/cheri_sketch", twoComp("cheri")},
+        // Vectored crossings: the `batch:` / `coalesce:` / `elide:`
+        // knobs. batch: 1 is regression-pinned to the sequential gate
+        // (vcycle-identical by construction); batch: 8 amortizes the
+        // transition — one EPT doorbell per eight calls — and the EPT
+        // step-change is the headline number. The elide rows show
+        // repeated same-boundary crossings shedding the entry-validate
+        // / return-scrub charges.
+        {"batchedGateBench/ept_batch1",
+         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 1}"), 1},
+        {"batchedGateBench/ept_batch4",
+         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 4}"), 4},
+        {"batchedGateBench/ept_batch8",
+         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 8}"), 8},
+        {"batchedGateBench/ept_batch8_coalesce",
+         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 8, coalesce: 2000}"),
+         8},
+        {"batchedGateBench/mpk_dss_batch8",
+         twoComp("intel-mpk", "dss", "'*' -> '*': {batch: 8}"), 8},
+        {"batchedGateBench/cheri_batch8",
+         twoComp("cheri", nullptr, "'*' -> '*': {batch: 8}"), 8},
+        {"gateBench/mpk_dss_validate",
+         twoComp("intel-mpk", "dss", "'*' -> '*': {validate: true}")},
+        {"gateBench/mpk_dss_elide_both",
+         twoComp("intel-mpk", "dss",
+                 "'*' -> '*': {validate: true, elide: both}")},
+        {"gateBench/ept_elide_scrub",
+         twoComp("vm-ept", nullptr, "'*' -> '*': {elide: scrub}")},
+    };
+    for (const Row &r : rows)
+        std::printf("%-40s vcycles=%g\n", r.name,
+                    gateCost(r.cfg, r.width, r.sameCompartment, r.noKpti));
+    return 0;
+}

@@ -27,21 +27,6 @@ hex16(std::uint64_t v)
     return buf;
 }
 
-/** Permissiveness rank of a stack-sharing strategy (higher = looser). */
-int
-sharingRank(StackSharing s)
-{
-    switch (s) {
-    case StackSharing::Heap:
-        return 0;
-    case StackSharing::Dss:
-        return 1;
-    case StackSharing::SharedStack:
-        return 2;
-    }
-    return 0;
-}
-
 /**
  * The attack harness: one compromised compartment, a live deployment,
  * and the scenario catalogue. Scenarios run on attacker fibers spawned
@@ -184,7 +169,8 @@ class Harness
             const GatePolicy &p = img.policyFor(f, v);
             if (p.deny)
                 continue;
-            if (sharingRank(p.stackSharing) > sharingRank(s))
+            if (stackSharingStrength(p.stackSharing) <
+                stackSharingStrength(s))
                 s = p.stackSharing;
         }
         return s;

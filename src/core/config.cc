@@ -88,6 +88,20 @@ stackSharingName(StackSharing s)
     return "?";
 }
 
+int
+stackSharingStrength(StackSharing s)
+{
+    switch (s) {
+      case StackSharing::SharedStack:
+        return 0;
+      case StackSharing::Dss:
+        return 1;
+      case StackSharing::Heap:
+        return 2;
+    }
+    return 0;
+}
+
 const char *
 rateOverflowName(RateOverflow o)
 {
@@ -930,6 +944,53 @@ SafetyConfig::parse(const std::string &text)
 }
 
 std::string
+BoundaryRule::toText() const
+{
+    auto quoted = [](const std::string &s) {
+        return s == "*" ? std::string("'*'") : s;
+    };
+    std::ostringstream oss;
+    oss << quoted(from) << " -> " << quoted(to) << ": {";
+    bool first = true;
+    auto key = [&](const char *k) -> std::ostringstream & {
+        oss << (first ? "" : ", ") << k << ": ";
+        first = false;
+        return oss;
+    };
+    auto boolName = [](bool b) { return b ? "true" : "false"; };
+    if (flavor)
+        key("gate") << (*flavor == MpkGateFlavor::Light ? "light" : "dss");
+    if (validate)
+        key("validate") << boolName(*validate);
+    if (validateReturn)
+        key("validate_return") << boolName(*validateReturn);
+    if (scrub)
+        key("scrub") << boolName(*scrub);
+    if (deny)
+        key("deny") << boolName(*deny);
+    if (rate)
+        key("rate") << *rate;
+    if (window)
+        key("window") << *window;
+    if (weight)
+        key("weight") << *weight;
+    if (overflow)
+        key("overflow") << rateOverflowName(*overflow);
+    if (stackSharing)
+        key("stack_sharing") << stackSharingName(*stackSharing);
+    if (batch)
+        key("batch") << *batch;
+    if (coalesce)
+        key("coalesce") << *coalesce;
+    if (elide)
+        key("elide") << elideName(*elide);
+    if (adaptive)
+        key("adaptive") << boolName(*adaptive);
+    oss << "}";
+    return oss.str();
+}
+
+std::string
 SafetyConfig::toText() const
 {
     std::ostringstream oss;
@@ -993,85 +1054,13 @@ SafetyConfig::toText() const
         oss << "  queue_high: " << controller->queueHigh << "\n";
     }
     if (!boundaries.empty()) {
-        auto quoted = [](const std::string &s) {
-            return s == "*" ? std::string("'*'") : s;
-        };
         oss << "boundaries:\n";
         // Serialize every explicit rule, including ones whose policy
         // equals the resolved default: dropping "redundant" rules
         // would lose author intent (and the redundancy can become
         // load-bearing when surrounding rules change).
-        for (const BoundaryRule &r : boundaries) {
-            oss << "- " << quoted(r.from) << " -> " << quoted(r.to)
-                << ": {";
-            bool first = true;
-            auto sep = [&] {
-                if (!first)
-                    oss << ", ";
-                first = false;
-            };
-            if (r.flavor) {
-                sep();
-                oss << "gate: "
-                    << (*r.flavor == MpkGateFlavor::Light ? "light"
-                                                          : "dss");
-            }
-            if (r.validate) {
-                sep();
-                oss << "validate: " << (*r.validate ? "true" : "false");
-            }
-            if (r.validateReturn) {
-                sep();
-                oss << "validate_return: "
-                    << (*r.validateReturn ? "true" : "false");
-            }
-            if (r.scrub) {
-                sep();
-                oss << "scrub: " << (*r.scrub ? "true" : "false");
-            }
-            if (r.deny) {
-                sep();
-                oss << "deny: " << (*r.deny ? "true" : "false");
-            }
-            if (r.rate) {
-                sep();
-                oss << "rate: " << *r.rate;
-            }
-            if (r.window) {
-                sep();
-                oss << "window: " << *r.window;
-            }
-            if (r.weight) {
-                sep();
-                oss << "weight: " << *r.weight;
-            }
-            if (r.overflow) {
-                sep();
-                oss << "overflow: " << rateOverflowName(*r.overflow);
-            }
-            if (r.stackSharing) {
-                sep();
-                oss << "stack_sharing: "
-                    << stackSharingName(*r.stackSharing);
-            }
-            if (r.batch) {
-                sep();
-                oss << "batch: " << *r.batch;
-            }
-            if (r.coalesce) {
-                sep();
-                oss << "coalesce: " << *r.coalesce;
-            }
-            if (r.elide) {
-                sep();
-                oss << "elide: " << elideName(*r.elide);
-            }
-            if (r.adaptive) {
-                sep();
-                oss << "adaptive: " << (*r.adaptive ? "true" : "false");
-            }
-            oss << "}\n";
-        }
+        for (const BoundaryRule &r : boundaries)
+            oss << "- " << r.toText() << "\n";
     }
     return oss.str();
 }

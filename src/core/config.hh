@@ -121,6 +121,8 @@ Hardening hardeningFromName(const std::string &name);
 const char *hardeningName(Hardening h);
 StackSharing stackSharingFromName(const std::string &name);
 const char *stackSharingName(StackSharing s);
+/** Data-isolation strength: shared-stack 0 < dss 1 < heap 2. */
+int stackSharingStrength(StackSharing s);
 const char *rateOverflowName(RateOverflow o);
 NicSteering steeringFromName(const std::string &name);
 const char *steeringName(NicSteering s);
@@ -293,30 +295,35 @@ struct GatePolicy
 /**
  * One rule of the `boundaries:` section. `from`/`to` are compartment
  * names or the wildcard "*"; unset fields leave the less specific
- * layer's (or the default policy's) value in place.
+ * layer's (or the default policy's) value in place. The fields carry
+ * default initializers so a rule can be written with designated
+ * initializers: `{.from = "*", .to = "net", .validate = true}`.
  */
 struct BoundaryRule
 {
     std::string from;
     std::string to;
-    std::optional<MpkGateFlavor> flavor; ///< `gate: light|dss`
-    std::optional<bool> validate;        ///< `validate: true|false`
-    std::optional<bool> validateReturn;  ///< `validate_return: ...`
-    std::optional<bool> scrub;           ///< `scrub: true|false`
-    std::optional<bool> deny;            ///< `deny: true|false`
-    std::optional<std::uint64_t> rate;   ///< `rate: N` (crossings)
-    std::optional<std::uint64_t> window; ///< `window: N` (vcycles)
-    std::optional<std::uint64_t> weight; ///< `weight: N` (QoS bias)
-    std::optional<RateOverflow> overflow; ///< `overflow: stall|fail`
+    std::optional<MpkGateFlavor> flavor{}; ///< `gate: light|dss`
+    std::optional<bool> validate{};        ///< `validate: true|false`
+    std::optional<bool> validateReturn{};  ///< `validate_return: ...`
+    std::optional<bool> scrub{};           ///< `scrub: true|false`
+    std::optional<bool> deny{};            ///< `deny: true|false`
+    std::optional<std::uint64_t> rate{};   ///< `rate: N` (crossings)
+    std::optional<std::uint64_t> window{}; ///< `window: N` (vcycles)
+    std::optional<std::uint64_t> weight{}; ///< `weight: N` (QoS bias)
+    std::optional<RateOverflow> overflow{}; ///< `overflow: stall|fail`
     /** `stack_sharing: heap|dss|shared-stack` */
-    std::optional<StackSharing> stackSharing;
-    std::optional<std::uint64_t> batch;    ///< `batch: N` (calls/gate)
-    std::optional<std::uint64_t> coalesce; ///< `coalesce: N` (vcycles)
-    std::optional<GateElide> elide; ///< `elide: validate|scrub|both|none`
-    std::optional<bool> adaptive;   ///< `adaptive: true|false`
+    std::optional<StackSharing> stackSharing{};
+    std::optional<std::uint64_t> batch{};    ///< `batch: N` (calls/gate)
+    std::optional<std::uint64_t> coalesce{}; ///< `coalesce: N` (vcycles)
+    std::optional<GateElide> elide{}; ///< `elide: validate|scrub|both|none`
+    std::optional<bool> adaptive{};   ///< `adaptive: true|false`
 
     /** "from -> to", for error messages. */
     std::string edgeName() const { return from + " -> " + to; }
+
+    /** The rule as one `boundaries:` entry, e.g. "'*' -> net: {rate: 5}". */
+    std::string toText() const;
 
     bool operator==(const BoundaryRule &o) const = default;
 };

@@ -15,39 +15,38 @@ ConfigPoint::compartments() const
     return static_cast<int>(blocks.size());
 }
 
-int
-ConfigPoint::mechanismRankOf(std::size_t c) const
+std::string
+blockCompartment(int b)
 {
-    if (blockMechanism.empty())
-        return mechanismRank;
-    panic_if(c >= partition.size(), "component index out of range");
-    auto block = static_cast<std::size_t>(partition[c]);
-    panic_if(block >= blockMechanism.size(),
-             "partition block without a mechanism assignment");
-    return blockMechanism[block];
+    return "comp" + std::to_string(b + 1);
 }
 
-int
-ConfigPoint::gateFlavorRankOf(std::size_t c) const
+SafetyConfig
+blockConfig(const ConfigPoint &p)
 {
-    if (blockGateFlavor.empty())
-        return 1; // full DSS gate everywhere by default
-    panic_if(c >= partition.size(), "component index out of range");
-    auto block = static_cast<std::size_t>(partition[c]);
-    panic_if(block >= blockGateFlavor.size(),
-             "partition block without a gate-flavour assignment");
-    return blockGateFlavor[block];
+    panic_if(static_cast<int>(p.blockMechanism.size()) != p.compartments(),
+             "point needs one mechanism per partition block");
+    SafetyConfig cfg;
+    for (std::size_t b = 0; b < p.blockMechanism.size(); ++b) {
+        CompartmentSpec spec;
+        spec.name = blockCompartment(static_cast<int>(b));
+        spec.mechanism = p.blockMechanism[b];
+        cfg.compartments.push_back(std::move(spec));
+    }
+    cfg.boundaries = p.rules;
+    cfg.cores = static_cast<unsigned>(p.cores);
+    // Controller points run the default sampling/threshold knobs: the
+    // section's presence alone enables the control plane.
+    for (const BoundaryRule &r : p.rules)
+        if (r.adaptive.value_or(false))
+            cfg.controller = ControllerConfig{};
+    return cfg;
 }
 
-bool
-mechanismRankLe(int a, int b)
+GateMatrix
+blockMatrix(const ConfigPoint &p)
 {
-    if (a == b)
-        return true;
-    if (a > b)
-        return false;
-    // a < b is ordered except across the ept(2)/cheri(3) antichain.
-    return !(a == 2 && b == 3);
+    return GateMatrix::build(blockConfig(p));
 }
 
 bool
@@ -66,23 +65,74 @@ refines(const std::vector<int> &a, const std::vector<int> &b)
 
 namespace {
 
-/** Tri-state accumulate: does a dominate b on this dimension? */
-enum class Dim { ALeq, AGeq, Both, Neither };
-
-Dim
-combine(Dim acc, bool aLeB, bool bLeA)
+/**
+ * The mechanism-strength order: none < intel-mpk < {vm-ept, cheri},
+ * with ept and cheri incomparable — VM-grade address-space isolation
+ * and capability-grade spatial safety protect against different
+ * attacker models. The baselines are unranked: equal only to
+ * themselves.
+ */
+bool
+mechanismLe(Mechanism a, Mechanism b)
 {
-    Dim cur = aLeB && bLeA ? Dim::Both
-              : aLeB       ? Dim::ALeq
-              : bLeA       ? Dim::AGeq
-                           : Dim::Neither;
-    if (acc == Dim::Both)
-        return cur;
-    if (cur == Dim::Both)
-        return acc;
-    if (acc == cur)
-        return acc;
-    return Dim::Neither;
+    auto rank = [](Mechanism m) {
+        return m == Mechanism::None       ? 0
+               : m == Mechanism::IntelMpk ? 1
+               : m == Mechanism::VmEpt || m == Mechanism::Cheri ? 2
+                                                                 : -1;
+    };
+    return a == b || (rank(a) >= 0 && rank(b) >= 0 && rank(a) < rank(b));
+}
+
+/** Elided legs as a bitmask (validate = 1, scrub = 2). */
+unsigned
+elidedLegs(GateElide e)
+{
+    return (elidesValidate(e) ? 1u : 0u) | (elidesScrub(e) ? 2u : 0u);
+}
+
+/**
+ * Crossing budgets: unlimited is least safe; two budgets compare only
+ * under the same window, weight and overflow, the lower one safer.
+ */
+bool
+rateLe(const GatePolicy &a, const GatePolicy &b)
+{
+    if (a.rate == 0)
+        return true;
+    return b.rate != 0 && a.rateWindow == b.rateWindow &&
+           a.weight == b.weight && a.overflow == b.overflow &&
+           b.rate <= a.rate;
+}
+
+/**
+ * Whether boundary a is at most as safe as boundary b. batch,
+ * coalesce and adaptive are performance-only and not compared.
+ */
+bool
+policyLe(const GatePolicy &a, const GatePolicy &b)
+{
+    return mechanismLe(a.mech, b.mech) &&
+           (a.flavor == MpkGateFlavor::Light ||
+            b.flavor == MpkGateFlavor::Dss) &&
+           (!a.validateEntry || b.validateEntry) &&
+           (!a.validateReturn || b.validateReturn) &&
+           (!a.scrubReturn || b.scrubReturn) &&
+           (elidedLegs(a.elide) & elidedLegs(b.elide)) ==
+               elidedLegs(b.elide) &&
+           stackSharingStrength(a.stackSharing) <=
+               stackSharingStrength(b.stackSharing) &&
+           (!a.deny || b.deny) && rateLe(a, b);
+}
+
+bool
+deniesAnything(const GateMatrix &m)
+{
+    for (std::size_t f = 0; f < m.size(); ++f)
+        for (std::size_t t = 0; t < m.size(); ++t)
+            if (m.at(static_cast<int>(f), static_cast<int>(t)).deny)
+                return true;
+    return false;
 }
 
 } // namespace
@@ -90,105 +140,61 @@ combine(Dim acc, bool aLeB, bool bLeA)
 SafetyOrder
 compareSafety(const ConfigPoint &a, const ConfigPoint &b)
 {
+    return compareSafety(a, blockMatrix(a), b, blockMatrix(b));
+}
+
+SafetyOrder
+compareSafety(const ConfigPoint &a, const GateMatrix &ma,
+              const ConfigPoint &b, const GateMatrix &mb)
+{
     panic_if(a.partition.size() != b.partition.size() ||
                  a.hardening.size() != b.hardening.size(),
              "comparing configurations over different components");
 
-    Dim acc = Dim::Both;
+    // Partition refinement: splitting into more compartments is safer.
+    bool aLe = refines(b.partition, a.partition);
+    bool bLe = refines(a.partition, b.partition);
 
-    // 1) Compartmentalization granularity: refinement order.
-    acc = combine(acc, refines(b.partition, a.partition),
-                  refines(a.partition, b.partition));
-
-    // 2) Per-component hardening: subset order on each component.
-    bool aSub = true, bSub = true;
+    // Per-component hardening: subset order on each component.
     for (std::size_t i = 0; i < a.hardening.size(); ++i) {
-        if ((a.hardening[i] & b.hardening[i]) != a.hardening[i])
-            aSub = false;
-        if ((a.hardening[i] & b.hardening[i]) != b.hardening[i])
-            bSub = false;
-    }
-    acc = combine(acc, aSub, bSub);
-
-    // 3) Mechanism strength, component-wise: with per-block mechanisms
-    // (mixed images) a config dominates only if every component's
-    // boundary is at least as strong — under the partial mechanism
-    // order (ept and cheri are incomparable). Homogeneous configs
-    // degenerate to the scalar-rank comparison.
-    bool aMechLe = true, bMechLe = true;
-    if (a.partition.empty()) {
-        aMechLe = mechanismRankLe(a.mechanismRank, b.mechanismRank);
-        bMechLe = mechanismRankLe(b.mechanismRank, a.mechanismRank);
-    }
-    for (std::size_t c = 0; c < a.partition.size(); ++c) {
-        int ra = a.mechanismRankOf(c);
-        int rb = b.mechanismRankOf(c);
-        if (!mechanismRankLe(ra, rb))
-            aMechLe = false;
-        if (!mechanismRankLe(rb, ra))
-            bMechLe = false;
-    }
-    acc = combine(acc, aMechLe, bMechLe);
-
-    // 3b) Per-boundary MPK gate flavour, component-wise: the DSS gate
-    // (register scrub + stack switch) dominates the light gate on
-    // every boundary it guards.
-    bool aFlavLe = true, bFlavLe = true;
-    for (std::size_t c = 0; c < a.partition.size(); ++c) {
-        int ra = a.gateFlavorRankOf(c);
-        int rb = b.gateFlavorRankOf(c);
-        if (ra > rb)
-            aFlavLe = false;
-        if (rb > ra)
-            bFlavLe = false;
-    }
-    acc = combine(acc, aFlavLe, bFlavLe);
-
-    // 3c) Least-privilege call graph: denying a superset of edges is
-    // safer. Block ids only line up between identical partitions;
-    // otherwise the dimension is neutral when both sets are empty and
-    // incomparable when either denies anything.
-    {
-        std::set<std::pair<int, int>> da(a.deniedEdges.begin(),
-                                         a.deniedEdges.end()),
-            db(b.deniedEdges.begin(), b.deniedEdges.end());
-        bool comparable = a.partition == b.partition ||
-                          (da.empty() && db.empty());
-        bool aSubset = std::includes(db.begin(), db.end(), da.begin(),
-                                     da.end());
-        bool bSubset = std::includes(da.begin(), da.end(), db.begin(),
-                                     db.end());
-        acc = combine(acc, comparable && aSubset, comparable && bSubset);
+        unsigned both = a.hardening[i] & b.hardening[i];
+        aLe = aLe && both == a.hardening[i];
+        bLe = bLe && both == b.hardening[i];
     }
 
-    // 3d) Per-crossing work elision: skipping entry validation or
-    // return scrubbing on repeated crossings weakens the boundary, so
-    // eliding a subset of another config's work is safer — a ≤ b iff
-    // b's elided set is contained in a's. gateBatch, like cores, is
-    // performance-only and deliberately left out of the order.
-    acc = combine(acc, (a.elided & b.elided) == b.elided,
-                  (a.elided & b.elided) == a.elided);
-
-    // 4) Data-isolation strength.
-    acc = combine(acc, a.sharingRank <= b.sharingRank,
-                  b.sharingRank <= a.sharingRank);
-
-    switch (acc) {
-      case Dim::Both:
-        return SafetyOrder::Equal;
-      case Dim::ALeq:
-        return SafetyOrder::Less;
-      case Dim::AGeq:
-        return SafetyOrder::Greater;
-      case Dim::Neither:
+    // Block ids only line up between identical partitions: across
+    // different ones, denied edges leave the points incomparable
+    // unless neither denies anything.
+    if (a.partition != b.partition &&
+        (deniesAnything(ma) || deniesAnything(mb)))
         return SafetyOrder::Incomparable;
+
+    // Every boundary, cell (block(i), block(j)) for every component
+    // pair. The diagonal carries each component's own mechanism and
+    // the flavour/elision of gates into its block.
+    const std::vector<int> &pa = a.partition, &pb = b.partition;
+    for (std::size_t i = 0; i < pa.size() && (aLe || bLe); ++i) {
+        for (std::size_t j = 0; j < pa.size(); ++j) {
+            const GatePolicy &ca = ma.at(pa[i], pa[j]);
+            const GatePolicy &cb = mb.at(pb[i], pb[j]);
+            aLe = aLe && policyLe(ca, cb);
+            bLe = bLe && policyLe(cb, ca);
+        }
     }
+
+    if (aLe && bLe)
+        return SafetyOrder::Equal;
+    if (aLe)
+        return SafetyOrder::Less;
+    if (bLe)
+        return SafetyOrder::Greater;
     return SafetyOrder::Incomparable;
 }
 
 std::size_t
 SafetyPoset::add(ConfigPoint p)
 {
+    matrices.push_back(blockMatrix(p));
     nodes.push_back(std::move(p));
     edgesBuilt = false;
     return nodes.size() - 1;
@@ -197,7 +203,7 @@ SafetyPoset::add(ConfigPoint p)
 bool
 SafetyPoset::strictlySafer(std::size_t a, std::size_t b) const
 {
-    return compareSafety(nodes[a], nodes[b]) == SafetyOrder::Greater;
+    return safer[a * nodes.size() + b];
 }
 
 void
@@ -206,6 +212,12 @@ SafetyPoset::buildEdges()
     std::size_t n = nodes.size();
     covers.assign(n, {});
     coveredBy.assign(n, {});
+    safer.assign(n * n, false);
+    for (std::size_t a = 0; a < n; ++a)
+        for (std::size_t b = 0; b < n; ++b)
+            safer[a * n + b] = compareSafety(nodes[a], matrices[a],
+                                             nodes[b], matrices[b]) ==
+                               SafetyOrder::Greater;
 
     for (std::size_t lo = 0; lo < n; ++lo) {
         for (std::size_t hi = 0; hi < n; ++hi) {

@@ -19,93 +19,53 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hh"
+
 namespace flexos {
 
+/** Bit of Hardening h in ConfigPoint::hardening. */
+constexpr unsigned
+hardeningBit(Hardening h)
+{
+    return 1u << static_cast<unsigned>(h);
+}
+
+/** Compartment name of partition block b in materialized configs. */
+std::string blockCompartment(int b);
+
 /**
- * One point in the safety configuration space, abstracted for
- * comparison: components are indices 0..n-1.
+ * One point in the safety configuration space: components are indices
+ * 0..n-1, grouped into partition blocks. The point holds exactly what
+ * the materialized image is built from — wayfinder::toSafetyConfig
+ * copies every field below verbatim — so the safety order reads the
+ * same protection state the image enforces.
  */
 struct ConfigPoint
 {
     /** Component -> compartment block id (normalized partition). */
     std::vector<int> partition;
-    /** Per-component hardening bitmask (bit per mechanism). */
+    /**
+     * Per-component hardening: bit hardeningBit(h) set means the
+     * component is built with Hardening h.
+     */
     std::vector<unsigned> hardening;
-    /** Mechanism strength rank (see mechanismRankLe for the order). */
-    int mechanismRank = 1;
     /**
-     * Per-block mechanism rank for mixed-mechanism images, indexed by
-     * partition block id (none=0, mpk=1, ept=2, cheri=3 — see
-     * mechanismRankLe). Empty means the image is homogeneous at
-     * mechanismRank. When set, the safety comparison is
-     * component-wise: every component's boundary must be at least as
-     * strong for one config to dominate the other.
+     * Isolation mechanism of each partition block, indexed by block
+     * id; a homogeneous image holds one entry per block all the same.
      */
-    std::vector<int> blockMechanism;
+    std::vector<Mechanism> blockMechanism;
     /**
-     * Per-block MPK gate flavour rank (light=0 < dss=1), indexed by
-     * partition block id: the flavour of gates *into* that block.
-     * Empty means every boundary runs the full DSS gate. Ordered
-     * component-wise like blockMechanism, so light < dss per block.
+     * The `boundaries:` section, copied verbatim into the config.
+     * Block b is named blockCompartment(b), i.e. `comp<b+1>`.
      */
-    std::vector<int> blockGateFlavor;
-    /** Data-isolation rank (shared stack=0 < dss=1 < private+heap=2). */
-    int sharingRank = 1;
+    std::vector<BoundaryRule> rules;
 
     /**
-     * Simulated core count the image boots with. A pure performance
-     * dimension: core count does not change the protection state, so
-     * compareSafety ignores it — points differing only in cores are
-     * Equal in the safety order and distinguished by perf alone.
+     * Simulated core count the image boots with. Performance-only:
+     * compareSafety ignores it, so points differing only in cores are
+     * Equal and distinguished by perf alone.
      */
     int cores = 1;
-
-    /**
-     * Vectored-gate batch width (the `batch:` boundary knob, applied
-     * image-wide as a wildcard rule). Purely a performance dimension
-     * like cores: batching moves calls between crossings without
-     * weakening any protection state — every call still passes entry
-     * checks and rate enforcement — so compareSafety ignores it.
-     */
-    int gateBatch = 1;
-
-    /**
-     * Crossing-work elided on repeated same-boundary calls (the
-     * `elide:` knob): bit 0 = entry validation, bit 1 = return-side
-     * scrubbing. Unlike batching this weakens the protection state,
-     * so the subset order ranks it — a config eliding a strict
-     * superset of another's per-crossing work is strictly LESS safe.
-     */
-    unsigned elided = 0;
-
-    /**
-     * Runtime policy controller enabled, with every boundary opted in
-     * (`controller:` section plus an image-wide `adaptive: true`
-     * rule). Performance/operations-only in the safety order: the
-     * controller only ever tightens below the configured baseline and
-     * relaxes back to it — never past it — so the static protection
-     * state is a floor, and compareSafety ignores the flag like cores
-     * and batch width.
-     */
-    bool adaptive = false;
-
-    /**
-     * Least-privilege dimension: ordered (from, to) partition-block
-     * edges the configuration denies (`deny: true` boundary rules).
-     * Denying more edges shrinks the reachable call graph, so the
-     * superset relation orders this dimension: a config denying a
-     * strict superset of another's edges is (probabilistically)
-     * safer. Only meaningful between points over the same partition —
-     * block ids name different things otherwise, making the dimension
-     * incomparable unless both sets are empty.
-     */
-    std::vector<std::pair<int, int>> deniedEdges;
-
-    /** Mechanism rank protecting component c's compartment boundary. */
-    int mechanismRankOf(std::size_t c) const;
-
-    /** Gate-flavour rank of component c's boundary (default dss=1). */
-    int gateFlavorRankOf(std::size_t c) const;
 
     std::string label;
 
@@ -137,22 +97,32 @@ struct ConfigPoint
     int compartments() const;
 };
 
+/**
+ * The point's image without libraries: block b becomes compartment
+ * blockCompartment(b) under blockMechanism[b], the rules become the
+ * `boundaries:` section, plus `cores:` and — when any rule sets
+ * `adaptive: true` — a default `controller:` section.
+ */
+SafetyConfig blockConfig(const ConfigPoint &p);
+
+/** The block-level gate matrix of a point (its blockConfig, resolved). */
+GateMatrix blockMatrix(const ConfigPoint &p);
+
 /** Result of comparing two configurations by safety. */
 enum class SafetyOrder { Less, Equal, Greater, Incomparable };
 
 /**
- * The mechanism-strength dimension is itself a partial order:
- * none(0) < mpk(1) < {ept(2), cheri(3)}, with ept and cheri
- * incomparable — VM-grade address-space isolation and capability-
- * grade spatial safety protect against different attacker models.
- * Returns whether rank a is at most rank b in that order.
- */
-bool mechanismRankLe(int a, int b);
-
-/**
  * Compare a and b. Greater means "a is probabilistically safer".
+ * Partitions compare by refinement and hardening by per-component
+ * subset; the rest compares the resolved block gate matrices cell by
+ * cell, over every ordered component pair (i, j) including i == j
+ * (see docs/exploring.md for the per-cell lattice).
  */
 SafetyOrder compareSafety(const ConfigPoint &a, const ConfigPoint &b);
+
+/** compareSafety with both points' blockMatrix() already resolved. */
+SafetyOrder compareSafety(const ConfigPoint &a, const GateMatrix &ma,
+                          const ConfigPoint &b, const GateMatrix &mb);
 
 /** Whether partition a refines partition b (a splits at least as much). */
 bool refines(const std::vector<int> &a, const std::vector<int> &b);
@@ -163,11 +133,18 @@ bool refines(const std::vector<int> &a, const std::vector<int> &b);
 class SafetyPoset
 {
   public:
-    /** Add a configuration; returns its node index. */
+    /**
+     * Add a configuration, resolving its block matrix once; returns
+     * its node index.
+     */
     std::size_t add(ConfigPoint p);
 
     std::size_t size() const { return nodes.size(); }
     const ConfigPoint &at(std::size_t i) const { return nodes[i]; }
+    /**
+     * Mutable access for the measurement labels (perf, label, scores);
+     * the protection state was resolved by add() and must not change.
+     */
     ConfigPoint &at(std::size_t i) { return nodes[i]; }
 
     /** Build the Hasse diagram (cover edges, transitively reduced). */
@@ -199,6 +176,8 @@ class SafetyPoset
     bool strictlySafer(std::size_t a, std::size_t b) const;
 
     std::vector<ConfigPoint> nodes;
+    std::vector<GateMatrix> matrices; ///< blockMatrix() of each node
+    std::vector<bool> safer; ///< [a * n + b]: node a strictly safer than b
     std::vector<std::vector<std::size_t>> covers;  ///< safer neighbours
     std::vector<std::vector<std::size_t>> coveredBy; ///< less-safe nbrs
     bool edgesBuilt = false;

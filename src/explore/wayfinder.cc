@@ -1,5 +1,6 @@
 #include "explore/wayfinder.hh"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -33,116 +34,26 @@ fig6Partitions()
     return parts;
 }
 
-std::vector<ConfigPoint>
-fig6Space()
+ConfigPoint
+basePoint(const std::vector<int> &partition, Mechanism mech)
 {
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        for (unsigned mask = 0; mask < 16; ++mask) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.resize(4);
-            for (unsigned c = 0; c < 4; ++c)
-                p.hardening[c] = (mask >> c) & 1;
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
-}
-
-namespace {
-
-/** Mechanism rank (poset order) -> config-file mechanism name. */
-const char *
-mechanismNameOfRank(int rank)
-{
-    switch (rank) {
-      case 0:
-        return "none";
-      case 1:
-        return "intel-mpk";
-      case 2:
-        return "vm-ept";
-      case 3:
-        return "cheri";
-    }
-    fatal("unknown mechanism rank ", rank);
-}
-
-} // namespace
-
-std::vector<ConfigPoint>
-mixedMechanismSpace()
-{
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        ConfigPoint base;
-        base.partition = partition;
-        int nBlocks = base.compartments();
-        // Every assignment from {none, mpk, ept, cheri}^nBlocks.
-        int total = 1;
-        for (int b = 0; b < nBlocks; ++b)
-            total *= 4;
-        for (int code = 0; code < total; ++code) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.blockMechanism.resize(static_cast<std::size_t>(nBlocks));
-            int rest = code;
-            for (int b = 0; b < nBlocks; ++b) {
-                p.blockMechanism[static_cast<std::size_t>(b)] = rest % 4;
-                rest /= 4;
-            }
-            p.sharingRank = 1; // DSS
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
-}
-
-std::vector<ConfigPoint>
-gateFlavorSpace()
-{
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        ConfigPoint base;
-        base.partition = partition;
-        int nBlocks = base.compartments();
-        // Every assignment from {light, dss}^nBlocks, all-MPK.
-        for (int code = 0; code < (1 << nBlocks); ++code) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.mechanismRank = 1; // MPK
-            p.blockGateFlavor.resize(static_cast<std::size_t>(nBlocks));
-            for (int b = 0; b < nBlocks; ++b)
-                p.blockGateFlavor[static_cast<std::size_t>(b)] =
-                    (code >> b) & 1;
-            p.sharingRank = 1; // DSS
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
+    ConfigPoint p;
+    p.partition = partition;
+    p.hardening.assign(partition.size(), 0);
+    p.blockMechanism.assign(static_cast<std::size_t>(p.compartments()),
+                            mech);
+    return p;
 }
 
 std::vector<std::pair<int, int>>
 requiredBlockEdges(const std::vector<int> &partition,
                    const std::string &appLib)
 {
-    // Which block every library of the materialized image lands in
-    // (toSafetyConfig places the non-swept components with the app).
-    std::vector<std::string> comps = sweepComponents(appLib);
-    panic_if(partition.size() != comps.size(),
-             "partition arity mismatch");
+    // Which block every library of the materialized image lands in.
+    SafetyConfig cfg = toSafetyConfig(basePoint(partition), appLib);
     std::map<std::string, int> blockOf;
-    for (std::size_t c = 0; c < comps.size(); ++c)
-        blockOf[comps[c]] = partition[c];
-    int appBlock = partition[0];
-    blockOf["uktime"] = appBlock;
-    if (appLib == "libnginx")
-        blockOf["vfscore"] = appBlock;
+    for (const auto &[lib, comp] : cfg.libraries)
+        blockOf[lib] = cfg.compartmentIndex(comp);
 
     // Cross-block edges of the registry's static call graph. All
     // sweep points are MPK-only, so no TCB replication applies and
@@ -160,61 +71,198 @@ requiredBlockEdges(const std::vector<int> &partition,
     return {edges.begin(), edges.end()};
 }
 
+namespace {
+
+/** A per-partition sweep concatenated over the five Figure 8 partitions. */
+template <class Slice>
 std::vector<ConfigPoint>
-coreCountSpace()
+overPartitions(Slice slice)
 {
     std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        for (int cores : {1, 2, 4}) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
-            p.cores = cores;
+    for (const auto &partition : fig6Partitions())
+        for (ConfigPoint &p : slice(partition))
             out.push_back(std::move(p));
+    return out;
+}
+
+/** Every {none, mpk, ept, cheri} assignment to the partition's blocks. */
+std::vector<ConfigPoint>
+mechanismChoices(const std::vector<int> &partition)
+{
+    static const Mechanism mechs[] = {Mechanism::None, Mechanism::IntelMpk,
+                                      Mechanism::VmEpt, Mechanism::Cheri};
+    ConfigPoint base = basePoint(partition);
+    std::size_t nBlocks = base.blockMechanism.size();
+    std::vector<ConfigPoint> out;
+    for (std::size_t code = 0; code < (std::size_t(1) << 2 * nBlocks);
+         ++code) {
+        ConfigPoint &p = out.emplace_back(base);
+        for (std::size_t b = 0, digits = code; b < nBlocks; ++b, digits /= 4)
+            p.blockMechanism[b] = mechs[digits % 4];
+    }
+    return out;
+}
+
+/**
+ * Every {light, dss} assignment to the partition's blocks, all-MPK:
+ * a `'*' -> block: {gate: light}` rule per light block.
+ */
+std::vector<ConfigPoint>
+flavourChoices(const std::vector<int> &partition)
+{
+    ConfigPoint base = basePoint(partition);
+    std::size_t nBlocks = base.blockMechanism.size();
+    std::vector<ConfigPoint> out;
+    for (std::size_t code = 0; code < (std::size_t(1) << nBlocks); ++code) {
+        ConfigPoint &p = out.emplace_back(base);
+        for (std::size_t b = 0; b < nBlocks; ++b)
+            if (!((code >> b) & 1))
+                p.rules.push_back({.from = "*",
+                                   .to = blockCompartment(static_cast<int>(b)),
+                                   .flavor = MpkGateFlavor::Light});
+    }
+    return out;
+}
+
+/**
+ * Every subset of the partition's deniable block edges — ordered
+ * pairs the static call graph does not need — one `deny: true` rule
+ * per denied edge. Required edges are never offered: a point denying
+ * one would be rejected at image build, i.e. it is not reachable.
+ */
+std::vector<ConfigPoint>
+denyChoices(const std::vector<int> &partition, const std::string &appLib)
+{
+    auto required = requiredBlockEdges(partition, appLib);
+    std::set<std::pair<int, int>> keep(required.begin(), required.end());
+    ConfigPoint base = basePoint(partition);
+    std::vector<std::pair<int, int>> deniable;
+    for (int f = 0; f < base.compartments(); ++f)
+        for (int t = 0; t < base.compartments(); ++t)
+            if (f != t && !keep.count({f, t}))
+                deniable.emplace_back(f, t);
+    std::vector<ConfigPoint> out;
+    for (std::size_t mask = 0; mask < (std::size_t(1) << deniable.size());
+         ++mask) {
+        ConfigPoint &p = out.emplace_back(base);
+        for (std::size_t e = 0; e < deniable.size(); ++e)
+            if ((mask >> e) & 1)
+                p.rules.push_back(
+                    {.from = blockCompartment(deniable[e].first),
+                     .to = blockCompartment(deniable[e].second),
+                     .deny = true});
+    }
+    return out;
+}
+
+/** One point per value: `'*' -> '*'` with `field` set, none for `off`. */
+template <class T>
+std::vector<ConfigPoint>
+wildcardChoices(const std::vector<int> &partition,
+                std::optional<T> BoundaryRule::*field,
+                std::initializer_list<T> values, T off)
+{
+    std::vector<ConfigPoint> out;
+    for (T v : values) {
+        ConfigPoint &p = out.emplace_back(basePoint(partition));
+        if (v != off) {
+            p.rules.push_back({.from = "*", .to = "*"});
+            p.rules.back().*field = v;
         }
     }
     return out;
+}
+
+std::vector<ConfigPoint>
+elideChoices(const std::vector<int> &partition)
+{
+    return wildcardChoices(partition, &BoundaryRule::elide,
+                           {GateElide::None, GateElide::Validate,
+                            GateElide::Scrub, GateElide::Both},
+                           GateElide::None);
+}
+
+std::vector<ConfigPoint>
+batchChoices(const std::vector<int> &partition)
+{
+    return wildcardChoices<std::uint64_t>(partition, &BoundaryRule::batch,
+                                          {1, 4, 8}, 1);
+}
+
+/** p with q's rules appended: combines choices of different axes. */
+ConfigPoint
+withRulesOf(ConfigPoint p, const ConfigPoint &q)
+{
+    p.rules.insert(p.rules.end(), q.rules.begin(), q.rules.end());
+    return p;
+}
+
+} // namespace
+
+std::vector<ConfigPoint>
+fig6Space()
+{
+    return overPartitions([](const std::vector<int> &partition) {
+        std::vector<ConfigPoint> out;
+        for (unsigned mask = 0; mask < 16; ++mask) {
+            ConfigPoint &p = out.emplace_back(basePoint(partition));
+            for (unsigned c = 0; c < 4; ++c)
+                p.hardening[c] = (mask >> c) & 1 ? fig6Hardening : 0;
+        }
+        return out;
+    });
+}
+
+std::vector<ConfigPoint>
+mixedMechanismSpace()
+{
+    return overPartitions(mechanismChoices);
+}
+
+std::vector<ConfigPoint>
+gateFlavorSpace()
+{
+    return overPartitions(flavourChoices);
+}
+
+std::vector<ConfigPoint>
+leastPrivilegeSpace(const std::string &appLib)
+{
+    return overPartitions([&](const std::vector<int> &partition) {
+        return denyChoices(partition, appLib);
+    });
+}
+
+std::vector<ConfigPoint>
+coreCountSpace()
+{
+    return overPartitions([](const std::vector<int> &partition) {
+        std::vector<ConfigPoint> out;
+        for (int cores : {1, 2, 4})
+            out.emplace_back(basePoint(partition)).cores = cores;
+        return out;
+    });
 }
 
 std::vector<ConfigPoint>
 batchingSpace()
 {
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        for (int batch : {1, 4, 8}) {
-            for (unsigned elided : {0u, 1u, 2u, 3u}) {
-                ConfigPoint p;
-                p.partition = partition;
-                p.hardening.assign(partition.size(), 0);
-                p.mechanismRank = 1; // MPK
-                p.sharingRank = 1;   // DSS
-                p.gateBatch = batch;
-                p.elided = elided;
-                out.push_back(std::move(p));
-            }
-        }
-    }
-    return out;
+    return overPartitions([](const std::vector<int> &partition) {
+        std::vector<ConfigPoint> out;
+        for (const ConfigPoint &batch : batchChoices(partition))
+            for (const ConfigPoint &elide : elideChoices(partition))
+                out.push_back(withRulesOf(batch, elide));
+        return out;
+    });
 }
 
 std::vector<ConfigPoint>
 controllerSpace()
 {
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        for (bool adaptive : {false, true}) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
-            p.adaptive = adaptive;
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
+    return overPartitions([](const std::vector<int> &partition) {
+        return wildcardChoices(partition, &BoundaryRule::adaptive,
+                               {false, true}, false);
+    });
 }
 
 std::size_t
@@ -292,121 +340,59 @@ prunedBoundarySweep(const std::vector<int> &partition,
                     const std::function<double(ConfigPoint &)> &eval,
                     double minPerf, std::vector<ConfigPoint> &accepted)
 {
-    ConfigPoint base;
-    base.partition = partition;
-    std::size_t nBlocks = static_cast<std::size_t>(base.compartments());
+    // Each axis lists its choices as the partition's base point with
+    // that choice applied: the mechanisms on axis 0, rules on the rest.
+    static const char *names[] = {"mechanism", "flavour", "deny", "elide",
+                                  "batch"};
+    std::vector<std::vector<ConfigPoint>> axes = {
+        mechanismChoices(partition), flavourChoices(partition),
+        denyChoices(partition, appLib), elideChoices(partition),
+        batchChoices(partition)};
 
-    // Axis 1: per-block mechanism assignments, every code from
-    // {none, mpk, ept, cheri}^nBlocks listed by ascending rank sum (a
-    // linear extension of the component-wise partial order, ept/cheri
-    // antichain included).
-    std::size_t mechCount = 1;
-    for (std::size_t b = 0; b < nBlocks; ++b)
-        mechCount *= 4;
-    auto mechRanks = [nBlocks](std::size_t code) {
-        std::vector<int> r(nBlocks);
-        for (std::size_t b = 0; b < nBlocks; ++b) {
-            r[b] = static_cast<int>(code % 4);
-            code /= 4;
+    // Each axis's order, read off compareSafety over its choices:
+    // le[a][b] iff a == b or a is Less. Choices are then listed by
+    // down-set size, which is a linear extension of that order.
+    std::vector<std::vector<std::vector<bool>>> le(axes.size());
+    std::vector<ProductDimension> dims;
+    for (std::size_t d = 0; d < axes.size(); ++d) {
+        std::vector<ConfigPoint> &pts = axes[d];
+        std::size_t n = pts.size();
+        auto table = [&] {
+            std::vector<GateMatrix> mats;
+            for (const ConfigPoint &p : pts)
+                mats.push_back(blockMatrix(p));
+            std::vector<std::vector<bool>> t(n, std::vector<bool>(n));
+            for (std::size_t a = 0; a < n; ++a)
+                for (std::size_t b = 0; b < n; ++b)
+                    t[a][b] = a == b || compareSafety(pts[a], mats[a],
+                                                      pts[b], mats[b]) ==
+                                            SafetyOrder::Less;
+            return t;
+        };
+        le[d] = table();
+        std::vector<std::pair<std::size_t, std::size_t>> bySize;
+        for (std::size_t b = 0; b < n; ++b) {
+            std::size_t below = 0;
+            for (std::size_t a = 0; a < n; ++a)
+                below += le[d][a][b];
+            bySize.emplace_back(below, b);
         }
-        return r;
-    };
-    std::vector<std::size_t> mechCodes(mechCount);
-    for (std::size_t c = 0; c < mechCount; ++c)
-        mechCodes[c] = c;
-    std::stable_sort(mechCodes.begin(), mechCodes.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         auto ra = mechRanks(a), rb = mechRanks(b);
-                         int sa = 0, sb = 0;
-                         for (std::size_t i = 0; i < nBlocks; ++i) {
-                             sa += ra[i];
-                             sb += rb[i];
-                         }
-                         return sa < sb;
-                     });
+        std::sort(bySize.begin(), bySize.end());
+        std::vector<ConfigPoint> listed;
+        for (const auto &[below, b] : bySize)
+            listed.push_back(pts[b]);
+        pts = std::move(listed);
+        le[d] = table();
+        dims.push_back({names[d], n, [&le, d](std::size_t a, std::size_t b) {
+                            return bool(le[d][a][b]);
+                        }});
+    }
 
-    // Axis 2: per-block gate flavours (bitmask, bit = dss), listed by
-    // popcount so subsets precede supersets.
-    std::vector<std::size_t> flavCodes(std::size_t(1) << nBlocks);
-    for (std::size_t c = 0; c < flavCodes.size(); ++c)
-        flavCodes[c] = c;
-    auto popcount = [](std::size_t x) {
-        int n = 0;
-        for (; x; x &= x - 1)
-            ++n;
-        return n;
-    };
-    std::stable_sort(flavCodes.begin(), flavCodes.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return popcount(a) < popcount(b);
-                     });
-
-    // Axis 3: deniable-edge subsets (bitmask over the edges the
-    // static call graph does not need), by popcount — denying more
-    // edges is safer.
-    auto required = requiredBlockEdges(partition, appLib);
-    std::set<std::pair<int, int>> keep(required.begin(), required.end());
-    std::vector<std::pair<int, int>> deniable;
-    for (int f = 0; f < static_cast<int>(nBlocks); ++f)
-        for (int t = 0; t < static_cast<int>(nBlocks); ++t)
-            if (f != t && !keep.count({f, t}))
-                deniable.emplace_back(f, t);
-    std::vector<std::size_t> denyCodes(std::size_t(1)
-                                       << deniable.size());
-    for (std::size_t c = 0; c < denyCodes.size(); ++c)
-        denyCodes[c] = c;
-    std::stable_sort(denyCodes.begin(), denyCodes.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return popcount(a) < popcount(b);
-                     });
-
-    // Axis 4: elision sets, least safe first (elide superset ⇒ less
-    // safe): both < {validate, scrub} < none.
-    static const unsigned elideLevels[] = {3u, 1u, 2u, 0u};
-
-    // Axis 5: batch width — performance-only, equality order.
-    static const int batchLevels[] = {1, 4, 8};
-
-    std::vector<ProductDimension> dims(5);
-    dims[0] = {"mechanism", mechCount, [&, nBlocks](std::size_t a,
-                                                    std::size_t b) {
-                   auto ra = mechRanks(mechCodes[a]),
-                        rb = mechRanks(mechCodes[b]);
-                   for (std::size_t i = 0; i < nBlocks; ++i)
-                       if (!mechanismRankLe(ra[i], rb[i]))
-                           return false;
-                   return true;
-               }};
-    dims[1] = {"flavour", flavCodes.size(),
-               [&](std::size_t a, std::size_t b) {
-                   return (flavCodes[a] & flavCodes[b]) == flavCodes[a];
-               }};
-    dims[2] = {"deny", denyCodes.size(),
-               [&](std::size_t a, std::size_t b) {
-                   return (denyCodes[a] & denyCodes[b]) == denyCodes[a];
-               }};
-    dims[3] = {"elide", 4, [](std::size_t a, std::size_t b) {
-                   return (elideLevels[a] & elideLevels[b]) ==
-                          elideLevels[b];
-               }};
-    dims[4] = {"batch", 3,
-               [](std::size_t a, std::size_t b) { return a == b; }};
-
+    // A vector's point: axis 0's mechanisms plus every axis's rules.
     auto materialize = [&](const std::vector<std::size_t> &v) {
-        ConfigPoint p;
-        p.partition = partition;
-        p.hardening.assign(partition.size(), 0);
-        p.blockMechanism = mechRanks(mechCodes[v[0]]);
-        p.blockGateFlavor.resize(nBlocks);
-        for (std::size_t b = 0; b < nBlocks; ++b)
-            p.blockGateFlavor[b] =
-                (flavCodes[v[1]] >> b) & 1 ? 1 : 0;
-        for (std::size_t e = 0; e < deniable.size(); ++e)
-            if (denyCodes[v[2]] & (std::size_t(1) << e))
-                p.deniedEdges.push_back(deniable[e]);
-        p.elided = elideLevels[v[3]];
-        p.gateBatch = batchLevels[v[4]];
-        p.sharingRank = 1; // DSS
+        ConfigPoint p = axes[0][v[0]];
+        for (std::size_t d = 1; d < axes.size(); ++d)
+            p = withRulesOf(std::move(p), axes[d][v[d]]);
         return p;
     };
 
@@ -424,130 +410,33 @@ prunedBoundarySweep(const std::vector<int> &partition,
         });
 }
 
-std::vector<ConfigPoint>
-leastPrivilegeSpace(const std::string &appLib)
-{
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        ConfigPoint base;
-        base.partition = partition;
-        int nBlocks = base.compartments();
-
-        // Deniable edges: every ordered cross-block pair the static
-        // call graph does not need. Required edges are never offered
-        // to the sweep — a point denying one would be rejected at
-        // image build, i.e. it is not a reachable configuration.
-        auto required = requiredBlockEdges(partition, appLib);
-        std::set<std::pair<int, int>> keep(required.begin(),
-                                           required.end());
-        std::vector<std::pair<int, int>> deniable;
-        for (int f = 0; f < nBlocks; ++f)
-            for (int t = 0; t < nBlocks; ++t)
-                if (f != t && !keep.count({f, t}))
-                    deniable.emplace_back(f, t);
-
-        for (unsigned mask = 0; mask < (1u << deniable.size());
-             ++mask) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
-            for (std::size_t e = 0; e < deniable.size(); ++e)
-                if (mask & (1u << e))
-                    p.deniedEdges.push_back(deniable[e]);
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
-}
-
 SafetyConfig
 toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
 {
     std::vector<std::string> comps = sweepComponents(appLib);
-    panic_if(point.partition.size() != comps.size(),
+    panic_if(point.partition.size() != comps.size() ||
+                 point.hardening.size() != comps.size(),
              "partition arity mismatch");
 
-    int nBlocks = point.compartments();
-    std::ostringstream cfg;
-    cfg << "compartments:\n";
+    SafetyConfig cfg = blockConfig(point);
     int appBlock = point.partition[0];
-    for (int b = 0; b < nBlocks; ++b) {
-        cfg << "- comp" << b + 1 << ":\n";
-        const char *mech =
-            point.blockMechanism.empty()
-                ? "intel-mpk"
-                : mechanismNameOfRank(
-                      point.blockMechanism[static_cast<std::size_t>(b)]);
-        cfg << "    mechanism: " << mech << "\n";
-        if (b == appBlock)
-            cfg << "    default: True\n";
-    }
-    cfg << "libraries:\n";
+    cfg.compartments[static_cast<std::size_t>(appBlock)].isDefault = true;
     for (std::size_t c = 0; c < comps.size(); ++c) {
-        cfg << "- " << comps[c] << ": comp" << point.partition[c] + 1;
-        if (point.hardening[c])
-            cfg << " [stack-protector, ubsan, kasan]";
-        cfg << "\n";
+        cfg.libraries.emplace_back(comps[c],
+                                   blockCompartment(point.partition[c]));
+        for (unsigned h = 0; point.hardening[c] >> h; ++h) {
+            panic_if(h > static_cast<unsigned>(Hardening::Asan),
+                     "unknown hardening bit ", h);
+            if ((point.hardening[c] >> h) & 1)
+                cfg.libHardening[comps[c]].push_back(
+                    static_cast<Hardening>(h));
+        }
     }
     // Components not varied by the sweep ride in the app compartment.
-    cfg << "- uktime: comp" << appBlock + 1 << "\n";
+    cfg.libraries.emplace_back("uktime", blockCompartment(appBlock));
     if (appLib == "libnginx")
-        cfg << "- vfscore: comp" << appBlock + 1 << "\n";
-    // Per-block gate flavours materialize as callee-side wildcard
-    // boundary rules: gates *into* a light block run the ERIM-style
-    // light gate (the default is dss, so only light needs a rule).
-    // Denied edges become exact-pair deny rules.
-    std::vector<std::string> rules;
-    if (!point.blockGateFlavor.empty()) {
-        panic_if(static_cast<int>(point.blockGateFlavor.size()) !=
-                     nBlocks,
-                 "gate-flavour arity mismatch");
-        for (int b = 0; b < nBlocks; ++b)
-            if (point.blockGateFlavor[static_cast<std::size_t>(b)] == 0)
-                rules.push_back("- '*' -> comp" + std::to_string(b + 1) +
-                                ": {gate: light}");
-    }
-    for (const auto &[f, t] : point.deniedEdges) {
-        panic_if(f < 0 || t < 0 || f >= nBlocks || t >= nBlocks,
-                 "denied edge names an unknown partition block");
-        rules.push_back("- comp" + std::to_string(f + 1) + " -> comp" +
-                        std::to_string(t + 1) + ": {deny: true}");
-    }
-    // Vectored-crossing knobs apply image-wide: one least-specific
-    // wildcard rule that every exact/deny rule above still overrides.
-    if (point.gateBatch > 1 || point.elided != 0 || point.adaptive) {
-        std::string knobs;
-        if (point.gateBatch > 1)
-            knobs += "batch: " + std::to_string(point.gateBatch);
-        if (point.elided != 0) {
-            if (!knobs.empty())
-                knobs += ", ";
-            knobs += std::string("elide: ") +
-                     (point.elided == 3   ? "both"
-                      : point.elided == 1 ? "validate"
-                                          : "scrub");
-        }
-        if (point.adaptive) {
-            if (!knobs.empty())
-                knobs += ", ";
-            knobs += "adaptive: true";
-        }
-        rules.push_back("- '*' -> '*': {" + knobs + "}");
-    }
-    if (!rules.empty()) {
-        cfg << "boundaries:\n";
-        for (const std::string &r : rules)
-            cfg << r << "\n";
-    }
-    if (point.cores > 1)
-        cfg << "cores: " << point.cores << "\n";
-    // Controller points run the default sampling/threshold knobs —
-    // the section's presence alone enables the control plane.
-    if (point.adaptive)
-        cfg << "controller:\n";
-    return SafetyConfig::parse(cfg.str());
+        cfg.libraries.emplace_back("vfscore", blockCompartment(appBlock));
+    return cfg;
 }
 
 std::string
@@ -574,46 +463,25 @@ pointLabel(const ConfigPoint &point, const std::string &appLib)
     for (std::size_t c = 0; c < comps.size(); ++c)
         oss << (point.hardening[c] ? "●" : "○");
     oss << "]";
-    if (!point.blockMechanism.empty()) {
-        static const char *short_[] = {"none", "mpk", "ept", "cheri"};
+    // Mechanisms only when some block is not the MPK default.
+    bool allMpk = true;
+    for (Mechanism m : point.blockMechanism)
+        allMpk = allMpk && m == Mechanism::IntelMpk;
+    if (!allMpk) {
         oss << " {";
         for (std::size_t b = 0; b < point.blockMechanism.size(); ++b) {
-            if (b)
-                oss << "/";
-            oss << short_[point.blockMechanism[b]];
+            Mechanism m = point.blockMechanism[b];
+            oss << (b ? "/" : "")
+                << (m == Mechanism::IntelMpk ? "mpk"
+                    : m == Mechanism::VmEpt  ? "ept"
+                                             : mechanismName(m));
         }
         oss << "}";
     }
-    if (!point.blockGateFlavor.empty()) {
-        oss << " <";
-        for (std::size_t b = 0; b < point.blockGateFlavor.size(); ++b) {
-            if (b)
-                oss << "/";
-            oss << (point.blockGateFlavor[b] == 0 ? "light" : "dss");
-        }
-        oss << ">";
-    }
-    if (!point.deniedEdges.empty()) {
-        oss << " deny{";
-        for (std::size_t e = 0; e < point.deniedEdges.size(); ++e) {
-            if (e)
-                oss << ",";
-            oss << point.deniedEdges[e].first + 1 << "->"
-                << point.deniedEdges[e].second + 1;
-        }
-        oss << "}";
-    }
+    for (const BoundaryRule &r : point.rules)
+        oss << " [" << r.toText() << "]";
     if (point.cores > 1)
         oss << " x" << point.cores << "cores";
-    if (point.gateBatch > 1)
-        oss << " batch" << point.gateBatch;
-    if (point.elided)
-        oss << " elide:"
-            << (point.elided == 3   ? "both"
-                : point.elided == 1 ? "validate"
-                                    : "scrub");
-    if (point.adaptive)
-        oss << " ctl";
     return oss.str();
 }
 

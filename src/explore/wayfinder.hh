@@ -31,7 +31,16 @@ std::vector<std::string> sweepComponents(const std::string &appLib);
  */
 const std::vector<std::vector<int>> &fig6Partitions();
 
-/** All 80 configuration points (5 partitions x 16 hardening masks). */
+/** The per-component bundle Figure 6 toggles: stack protector+UBSan+KASan. */
+inline constexpr unsigned fig6Hardening =
+    hardeningBit(Hardening::StackProtector) |
+    hardeningBit(Hardening::Ubsan) | hardeningBit(Hardening::Kasan);
+
+/** `partition` with every block under `mech`, and nothing else set. */
+ConfigPoint basePoint(const std::vector<int> &partition,
+                      Mechanism mech = Mechanism::IntelMpk);
+
+/** All 80 configuration points (5 partitions x 16 fig6Hardening masks). */
 std::vector<ConfigPoint> fig6Space();
 
 /**
@@ -133,12 +142,14 @@ std::size_t explorePrunedProduct(
         &emit = {});
 
 /**
- * The carried follow-up sweep: per-block mechanisms × per-block gate
- * flavours × deniable-edge subsets × batching/elision for one
- * Figure 8 partition, wired through explorePrunedProduct so the new
- * batching dimension is sweepable without materializing the full
- * product. Points meeting the budget are appended to `accepted` with
- * their measured perf. @return number of evaluations actually run.
+ * Per-block mechanisms × per-block gate flavours × deniable-edge
+ * subsets × elision × batch width for one Figure 8 partition, wired
+ * through explorePrunedProduct so the product is swept without being
+ * materialized. Each axis's order is read off compareSafety over its
+ * materialized choices, and its choices are listed by the size of
+ * their down-sets (a linear extension of that order). Points meeting
+ * the budget are appended to `accepted` with their measured perf.
+ * @return number of evaluations actually run.
  */
 std::size_t prunedBoundarySweep(
     const std::vector<int> &partition, const std::string &appLib,
@@ -159,13 +170,10 @@ leastPrivilegeSpace(const std::string &appLib = "libredis");
 
 /**
  * Materialize a sweep point as a full safety configuration for the
- * given application (DSS, as Figure 6 fixes). Homogeneous points map
- * every compartment to intel-mpk; points carrying blockMechanism get
- * one mechanism per compartment (none/intel-mpk/vm-ept/cheri by
- * rank); points carrying blockGateFlavor emit a `boundaries:` section
- * with one wildcard rule per light block; deniedEdges add one
- * `deny: true` rule per edge; gateBatch > 1 and a non-empty elided
- * set emit an image-wide `'*' -> '*'` batch/elide rule.
+ * given application: blockConfig(point) (one compartment per block
+ * under its mechanism, the rules verbatim, cores, controller) plus
+ * the sweep components and their hardening, with the components the
+ * sweep does not vary placed in the application's compartment.
  */
 SafetyConfig toSafetyConfig(const ConfigPoint &point,
                             const std::string &appLib);

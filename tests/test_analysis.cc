@@ -373,9 +373,7 @@ TEST_F(AnalysisFixture, SuggestedDenyMatchesWayfinderRequiredEdges)
     // wayfinder::requiredBlockEdges — the same least-privilege
     // frontier leastPrivilegeSpace() sweeps.
     for (const auto &partition : wayfinder::fig6Partitions()) {
-        ConfigPoint p;
-        p.partition = partition;
-        p.hardening.assign(partition.size(), 0);
+        ConfigPoint p = wayfinder::basePoint(partition);
         SafetyConfig cfg = wayfinder::toSafetyConfig(p, "libredis");
         tc.validate(cfg);
 
@@ -406,9 +404,7 @@ TEST_F(AnalysisFixture, SuggestedDenyMatchesWayfinderRequiredEdges)
 
 TEST_F(AnalysisFixture, ExploreHookAttachesAuditScore)
 {
-    ConfigPoint loose;
-    loose.partition = {0, 0, 1, 2};
-    loose.hardening.assign(4, 0);
+    ConfigPoint loose = wayfinder::basePoint({0, 0, 1, 2});
     EXPECT_EQ(loose.auditScore, -1);
     wayfinder::attachAuditScore(loose, "libredis");
     ASSERT_GE(loose.auditScore, 0);
@@ -423,7 +419,9 @@ TEST_F(AnalysisFixture, ExploreHookAttachesAuditScore)
     for (int f = 0; f < 3; ++f)
         for (int t = 0; t < 3; ++t)
             if (f != t && !keep.count({f, t}))
-                tight.deniedEdges.push_back({f, t});
+                tight.rules.push_back({.from = blockCompartment(f),
+                                       .to = blockCompartment(t),
+                                       .deny = true});
     wayfinder::attachAuditScore(tight, "libredis");
     EXPECT_LT(tight.auditScore, loose.auditScore);
 }

@@ -390,32 +390,34 @@ boundaries:
 
 TEST(BatchingPoset, ElisionOrdersPointsBatchWidthDoesNot)
 {
-    ConfigPoint base;
-    base.partition = {0, 0, 0, 1};
-    base.hardening.assign(4, 0);
+    ConfigPoint base = wayfinder::basePoint({0, 0, 0, 1});
+    auto with = [&](BoundaryRule r) {
+        ConfigPoint p = base;
+        p.rules.push_back(std::move(r));
+        return p;
+    };
 
-    ConfigPoint elided = base;
-    elided.elided = 3; // validate + scrub
+    ConfigPoint elided =
+        with({.from = "*", .to = "*", .elide = GateElide::Both});
     EXPECT_EQ(compareSafety(elided, base), SafetyOrder::Less);
     EXPECT_EQ(compareSafety(base, elided), SafetyOrder::Greater);
 
-    ConfigPoint scrubOnly = base;
-    scrubOnly.elided = 2;
+    ConfigPoint scrubOnly =
+        with({.from = "*", .to = "*", .elide = GateElide::Scrub});
     EXPECT_EQ(compareSafety(scrubOnly, elided), SafetyOrder::Greater);
-    ConfigPoint validateOnly = base;
-    validateOnly.elided = 1;
+    ConfigPoint validateOnly =
+        with({.from = "*", .to = "*", .elide = GateElide::Validate});
     EXPECT_EQ(compareSafety(validateOnly, scrubOnly),
               SafetyOrder::Incomparable);
 
     // Batch width is performance-only, exactly like cores.
-    ConfigPoint batched = base;
-    batched.gateBatch = 8;
+    ConfigPoint batched = with({.from = "*", .to = "*", .batch = 8});
     EXPECT_EQ(compareSafety(batched, base), SafetyOrder::Equal);
 
     // And the sweep space materializes valid configs end to end.
     for (const ConfigPoint &p : wayfinder::batchingSpace()) {
         SafetyConfig c = wayfinder::toSafetyConfig(p, "libredis");
-        if (p.gateBatch > 1 || p.elided != 0) {
+        if (!p.rules.empty()) {
             ASSERT_FALSE(c.boundaries.empty());
             EXPECT_EQ(c.boundaries.back().from, "*");
         }

@@ -9,6 +9,7 @@
 
 #include <fstream>
 #include <set>
+#include <tuple>
 
 #include "base/rng.hh"
 #include "core/toolchain.hh"
@@ -19,15 +20,21 @@ namespace flexos {
 namespace {
 
 ConfigPoint
-mk(std::vector<int> part, std::vector<unsigned> hard, int mech = 1,
-   int share = 1)
+mk(std::vector<int> part, std::vector<unsigned> hard,
+   Mechanism mech = Mechanism::IntelMpk)
 {
-    ConfigPoint p;
-    p.partition = std::move(part);
+    ConfigPoint p = wayfinder::basePoint(part, mech);
     p.hardening = std::move(hard);
-    p.mechanismRank = mech;
-    p.sharingRank = share;
     return p;
+}
+
+/** `comp<f+1> -> comp<t+1>: {deny: true}`. */
+BoundaryRule
+denyRule(int f, int t)
+{
+    return {.from = blockCompartment(f),
+            .to = blockCompartment(t),
+            .deny = true};
 }
 
 TEST(Refines, BasicCases)
@@ -67,56 +74,303 @@ TEST(CompareSafety, IncomparableDimensions)
 
 TEST(CompareSafety, MechanismAndSharingRank)
 {
-    ConfigPoint mpk = mk({0, 1}, {0, 0}, 1, 1);
-    ConfigPoint ept = mk({0, 1}, {0, 0}, 2, 1);
+    ConfigPoint mpk = mk({0, 1}, {0, 0});
+    ConfigPoint ept = mk({0, 1}, {0, 0}, Mechanism::VmEpt);
     EXPECT_EQ(compareSafety(mpk, ept), SafetyOrder::Less);
 
-    ConfigPoint sharedStack = mk({0, 1}, {0, 0}, 1, 0);
+    ConfigPoint sharedStack = mpk, heap = mpk;
+    sharedStack.rules = {{.from = "*",
+                          .to = "*",
+                          .stackSharing = StackSharing::SharedStack}};
     EXPECT_EQ(compareSafety(sharedStack, mpk), SafetyOrder::Less);
+    heap.rules = {{.from = "*", .to = "*", .stackSharing = StackSharing::Heap}};
+    EXPECT_EQ(compareSafety(heap, mpk), SafetyOrder::Greater);
 }
 
-TEST(CompareSafety, EqualAndReflexive)
+TEST(CompareSafety, NoneMechanismIsBuiltAndOrderedAsNone)
 {
-    ConfigPoint a = mk({0, 1}, {1, 0});
-    EXPECT_EQ(compareSafety(a, a), SafetyOrder::Equal);
+    // The order and the built image agree: a none point builds
+    // `mechanism: none` everywhere and sits below the MPK point.
+    ConfigPoint none = wayfinder::basePoint({0, 0, 0, 0}, Mechanism::None);
+    SafetyConfig cfg = wayfinder::toSafetyConfig(none, "libredis");
+    ASSERT_EQ(cfg.compartments.size(), 1u);
+    EXPECT_EQ(cfg.compartments[0].mechanism, Mechanism::None);
+    EXPECT_EQ(compareSafety(none, wayfinder::basePoint({0, 0, 0, 0})),
+              SafetyOrder::Less);
 }
 
-/** Property: antisymmetry and transitivity over random samples. */
+TEST(CompareSafety, ValidateRuleOrdersPoints)
+{
+    // A rule the image enforces is a rule the order sees.
+    ConfigPoint plain = mk({0, 0, 1, 2}, {0, 0, 0, 0});
+    ConfigPoint validated = plain;
+    validated.rules = {{.from = "*", .to = "*", .validate = true}};
+    EXPECT_EQ(compareSafety(plain, validated), SafetyOrder::Less);
+    EXPECT_EQ(compareSafety(validated, plain), SafetyOrder::Greater);
+}
+
+TEST(CompareSafety, RateBudgetsOrderUnderEqualParameters)
+{
+    auto limited = [](std::uint64_t rate, std::uint64_t window) {
+        ConfigPoint p = mk({0, 1}, {0, 0});
+        p.rules = {{.from = "*", .to = "*", .rate = rate, .window = window}};
+        return p;
+    };
+    ConfigPoint unlimited = mk({0, 1}, {0, 0});
+    // Unlimited is least safe; a lower budget is safer.
+    EXPECT_EQ(compareSafety(unlimited, limited(100, 1000)),
+              SafetyOrder::Less);
+    EXPECT_EQ(compareSafety(limited(100, 1000), limited(10, 1000)),
+              SafetyOrder::Less);
+    // Budgets over different windows do not compare.
+    EXPECT_EQ(compareSafety(limited(100, 1000), limited(10, 2000)),
+              SafetyOrder::Incomparable);
+}
+
+/** The seven sweeps tests/golden/safety_order.txt records, by name. */
+std::vector<std::pair<std::string, std::vector<ConfigPoint>>>
+oracleSpaces()
+{
+    return {{"fig6", wayfinder::fig6Space()},
+            {"mixedMechanism", wayfinder::mixedMechanismSpace()},
+            {"gateFlavor", wayfinder::gateFlavorSpace()},
+            {"coreCount", wayfinder::coreCountSpace()},
+            {"batching", wayfinder::batchingSpace()},
+            {"controller", wayfinder::controllerSpace()},
+            {"leastPrivilege", wayfinder::leastPrivilegeSpace()}};
+}
+
+/** A random 4-component partition, block ids in first-appearance order. */
+std::vector<int>
+randomPartition(Rng &rng)
+{
+    std::vector<int> part(4), idOf(3, -1);
+    int next = 0;
+    for (int &b : part) {
+        int &id = idOf[rng.below(3)];
+        if (id < 0)
+            id = next++;
+        b = id;
+    }
+    return part;
+}
+
+/**
+ * Four random boundary rules over every GatePolicy field, on distinct
+ * (from, to) keys so no two rules meet at one specificity on a cell
+ * (equal-specificity conflicts are build errors). Deny rules are
+ * exact block pairs that set nothing else, as the parser demands.
+ */
+std::vector<BoundaryRule>
+randomRules(Rng &rng, int nBlocks, bool withDeny)
+{
+    std::vector<std::string> ends = {"*"};
+    for (int b = 0; b < nBlocks; ++b)
+        ends.push_back(blockCompartment(b));
+    std::set<std::pair<std::string, std::string>> keys;
+    while (keys.size() < 4)
+        keys.emplace(ends[rng.below(ends.size())],
+                     ends[rng.below(ends.size())]);
+    std::vector<BoundaryRule> rules;
+    for (const auto &[from, to] : keys) {
+        BoundaryRule &r = rules.emplace_back(BoundaryRule{from, to});
+        if (withDeny && from != "*" && to != "*" && from != to &&
+            rng.chance(1, 2)) {
+            r.deny = true;
+            continue;
+        }
+        // Each field set with probability 1/3.
+        auto maybe = [&](auto &field, auto value) {
+            if (rng.chance(1, 3))
+                field = value;
+        };
+        maybe(r.flavor, static_cast<MpkGateFlavor>(rng.below(2)));
+        maybe(r.validate, rng.chance(1, 2));
+        maybe(r.validateReturn, rng.chance(1, 2));
+        maybe(r.scrub, rng.chance(1, 2));
+        maybe(r.elide, static_cast<GateElide>(rng.below(4)));
+        maybe(r.stackSharing, static_cast<StackSharing>(rng.below(3)));
+        maybe(r.rate, 10 * rng.range(1, 3));
+        maybe(r.window, 1000 * rng.range(1, 2));
+        maybe(r.weight, rng.range(1, 2));
+        maybe(r.overflow, static_cast<RateOverflow>(rng.below(2)));
+        maybe(r.batch, rng.range(1, 8));
+        maybe(r.coalesce, 1000 * rng.below(2));
+        maybe(r.adaptive, rng.chance(1, 2));
+    }
+    return rules;
+}
+
+/**
+ * 100 random points sharing one pool of random rules, each taking a
+ * random subset of it, so that many pairs compare. Without deny: a
+ * random partition per point and rules over comp1 and wildcards (the
+ * names every partition has). With deny: partition E, rules over all
+ * three blocks.
+ */
+std::vector<ConfigPoint>
+randomSamples(Rng &rng, bool withDeny)
+{
+    static const Mechanism mechs[] = {Mechanism::None, Mechanism::IntelMpk,
+                                      Mechanism::VmEpt, Mechanism::Cheri};
+    std::vector<BoundaryRule> pool =
+        randomRules(rng, withDeny ? 3 : 1, withDeny);
+    std::vector<ConfigPoint> pts;
+    for (int i = 0; i < 100; ++i) {
+        ConfigPoint p = wayfinder::basePoint(
+            withDeny ? std::vector<int>{0, 0, 1, 2} : randomPartition(rng));
+        for (unsigned &h : p.hardening)
+            h = rng.chance(1, 8) ? static_cast<unsigned>(rng.below(4)) : 0;
+        for (Mechanism &m : p.blockMechanism)
+            m = rng.chance(1, 8) ? mechs[rng.below(4)] : Mechanism::IntelMpk;
+        for (const BoundaryRule &r : pool)
+            if (rng.chance(1, 2))
+                p.rules.push_back(r);
+        p.cores = static_cast<int>(rng.range(1, 2));
+        pts.push_back(std::move(p));
+    }
+    return pts;
+}
+
+/** The order over pts as a table, [i][j] = compareSafety(pts[i], pts[j]). */
+std::vector<std::vector<SafetyOrder>>
+orderTable(const std::vector<ConfigPoint> &pts)
+{
+    std::vector<GateMatrix> mats;
+    for (const ConfigPoint &p : pts)
+        mats.push_back(blockMatrix(p));
+    std::vector<std::vector<SafetyOrder>> t(pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i)
+        for (std::size_t j = 0; j < pts.size(); ++j)
+            t[i].push_back(compareSafety(pts[i], mats[i], pts[j], mats[j]));
+    return t;
+}
+
+/**
+ * Property: reflexivity, antisymmetry and transitivity over random
+ * samples. Two sample sets: random partitions without deny rules, and
+ * one partition with deny rules — across different partitions a
+ * denying point is incomparable by rule, which is not transitive
+ * (A < E and E < E+deny, yet A ~ E+deny; see docs/exploring.md).
+ */
 TEST(CompareSafety, OrderAxiomsHoldOnRandomSamples)
 {
     Rng rng(17);
-    std::vector<ConfigPoint> pts;
-    for (int i = 0; i < 40; ++i) {
-        std::vector<int> part(4);
-        for (int &b : part)
-            b = static_cast<int>(rng.below(3));
-        std::vector<unsigned> hard(4);
-        for (unsigned &h : hard)
-            h = static_cast<unsigned>(rng.below(4));
-        pts.push_back(mk(part, hard, static_cast<int>(rng.below(3)),
-                         static_cast<int>(rng.below(2))));
-    }
-
-    for (const auto &a : pts) {
-        for (const auto &b : pts) {
-            SafetyOrder ab = compareSafety(a, b);
-            SafetyOrder ba = compareSafety(b, a);
-            // Antisymmetry.
-            if (ab == SafetyOrder::Less) {
-                EXPECT_EQ(ba, SafetyOrder::Greater);
-            }
-            if (ab == SafetyOrder::Equal) {
-                EXPECT_EQ(ba, SafetyOrder::Equal);
-            }
-            // Transitivity.
-            for (const auto &c : pts) {
-                if (ab == SafetyOrder::Less &&
-                    compareSafety(b, c) == SafetyOrder::Less) {
-                    EXPECT_EQ(compareSafety(a, c), SafetyOrder::Less);
+    for (bool withDeny : {false, true}) {
+        std::vector<ConfigPoint> pts = randomSamples(rng, withDeny);
+        auto t = orderTable(pts);
+        auto le = [&](std::size_t a, std::size_t b) {
+            return t[a][b] == SafetyOrder::Less ||
+                   t[a][b] == SafetyOrder::Equal;
+        };
+        std::size_t strictChains = 0;
+        for (std::size_t a = 0; a < pts.size(); ++a) {
+            EXPECT_EQ(t[a][a], SafetyOrder::Equal);
+            for (std::size_t b = 0; b < pts.size(); ++b) {
+                static const SafetyOrder flipped[] = {
+                    SafetyOrder::Greater, SafetyOrder::Equal,
+                    SafetyOrder::Less, SafetyOrder::Incomparable};
+                EXPECT_EQ(t[b][a], flipped[static_cast<int>(t[a][b])]);
+                if (a == b || !le(a, b))
+                    continue;
+                for (std::size_t c = 0; c < pts.size(); ++c) {
+                    if (c == b || !le(b, c))
+                        continue;
+                    EXPECT_TRUE(le(a, c)) << a << " <= " << b << " <= " << c;
+                    if (t[a][b] == SafetyOrder::Less &&
+                        t[b][c] == SafetyOrder::Less)
+                        ++strictChains;
+                    if (t[a][b] == SafetyOrder::Less ||
+                        t[b][c] == SafetyOrder::Less) {
+                        EXPECT_EQ(t[a][c], SafetyOrder::Less);
+                    }
                 }
             }
         }
+        EXPECT_GT(strictChains, 20u) << "the samples barely compare";
+        bool denies = false;
+        for (const ConfigPoint &p : pts)
+            for (const BoundaryRule &r : p.rules)
+                denies = denies || r.deny;
+        EXPECT_EQ(denies, withDeny);
     }
+}
+
+/**
+ * What a built image enforces: the partition, the libraries'
+ * hardening and the block gate matrix, with the performance-only
+ * fields stripped (batch, coalesce, adaptive; the window, weight and
+ * overflow of an unlimited boundary have no effect either).
+ */
+auto
+protectionState(const ConfigPoint &p)
+{
+    SafetyConfig cfg = wayfinder::toSafetyConfig(p, "libredis");
+    GateMatrix m = GateMatrix::build(cfg);
+    std::vector<GatePolicy> cells;
+    for (std::size_t f = 0; f < m.size(); ++f) {
+        for (std::size_t t = 0; t < m.size(); ++t) {
+            GatePolicy c = m.at(static_cast<int>(f), static_cast<int>(t));
+            c.batch = 1;
+            c.coalesce = 0;
+            c.adaptive = false;
+            if (c.rate == 0) {
+                c.rateWindow = defaultRateWindow;
+                c.weight = 1;
+                c.overflow = RateOverflow::Stall;
+            }
+            cells.push_back(c);
+        }
+    }
+    return std::tuple(p.partition, cfg.libHardening, cells);
+}
+
+/**
+ * Property: two points compare Equal exactly when the images built
+ * from them enforce the same protection state — the order sees every
+ * protection dimension the build emits, and nothing the build drops.
+ */
+TEST(CompareSafety, EqualExactlyWhenProtectionStateEqual)
+{
+    auto check = [](const std::vector<ConfigPoint> &pts) {
+        auto t = orderTable(pts);
+        std::vector<decltype(protectionState(pts[0]))> states;
+        for (const ConfigPoint &p : pts)
+            states.push_back(protectionState(p));
+        std::size_t equal = 0;
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+            for (std::size_t j = 0; j < pts.size(); ++j) {
+                bool same = states[i] == states[j];
+                EXPECT_EQ(t[i][j] == SafetyOrder::Equal, same)
+                    << wayfinder::pointLabel(pts[i], "app") << " vs "
+                    << wayfinder::pointLabel(pts[j], "app");
+                equal += same && i != j;
+            }
+        }
+        return equal;
+    };
+    for (const auto &[name, space] : oracleSpaces())
+        check(space);
+
+    // Random points, each beside a twin that redraws only the
+    // performance-only knobs.
+    Rng rng(23);
+    std::vector<ConfigPoint> pts;
+    for (bool withDeny : {false, true}) {
+      for (ConfigPoint &p : randomSamples(rng, withDeny)) {
+        ConfigPoint twin = p;
+        twin.cores = 3 - p.cores;
+        for (BoundaryRule &r : twin.rules) {
+            if (r.batch)
+                r.batch = rng.range(1, 8);
+            if (r.adaptive)
+                r.adaptive = !*r.adaptive;
+        }
+        pts.push_back(std::move(p));
+        pts.push_back(std::move(twin));
+      }
+    }
+    EXPECT_GE(check(pts), 120u);
 }
 
 /**
@@ -126,21 +380,11 @@ TEST(CompareSafety, OrderAxiomsHoldOnRandomSamples)
  */
 TEST(CompareSafety, ReproducesOrderOracle)
 {
-    const std::pair<const char *, std::vector<ConfigPoint>> spaces[] = {
-        {"fig6", wayfinder::fig6Space()},
-        {"mixedMechanism", wayfinder::mixedMechanismSpace()},
-        {"gateFlavor", wayfinder::gateFlavorSpace()},
-        {"coreCount", wayfinder::coreCountSpace()},
-        {"batching", wayfinder::batchingSpace()},
-        {"controller", wayfinder::controllerSpace()},
-        {"leastPrivilege", wayfinder::leastPrivilegeSpace()},
-    };
     std::vector<std::string> rows;
-    for (const auto &[name, space] : spaces) {
+    for (const auto &[name, space] : oracleSpaces()) {
         for (std::size_t i = 0; i < space.size(); ++i) {
             static const char sym[] = {'<', '=', '>', '~'};
-            std::string row =
-                std::string(name) + " " + std::to_string(i) + " ";
+            std::string row = name + " " + std::to_string(i) + " ";
             for (const ConfigPoint &b : space)
                 row += sym[static_cast<int>(compareSafety(space[i], b))];
             rows.push_back(std::move(row));
@@ -201,10 +445,8 @@ TEST(Poset, ExploreSkipsDominatedEvaluations)
         std::vector<unsigned> hard(2);
         hard[0] = h >= 1 ? 1 : 0;
         hard[1] = h >= 2 ? 1 : 0;
-        ConfigPoint p = mk({0, 1}, hard, 1, 1);
-        if (h == 3)
-            p.mechanismRank = 2;
-        poset.add(p);
+        poset.add(mk({0, 1}, hard,
+                     h == 3 ? Mechanism::VmEpt : Mechanism::IntelMpk));
     }
     poset.buildEdges();
 
@@ -300,34 +542,21 @@ TEST(CompareSafety, PerBlockMechanismsOrderComponentWise)
 {
     // Same partition {0,1}: all-EPT dominates MPK+EPT dominates
     // all-MPK; MPK+EPT and EPT+MPK are incomparable.
-    auto mkMech = [](std::vector<int> blocks) {
-        ConfigPoint p;
-        p.partition = {0, 1};
-        p.hardening = {0, 0};
+    constexpr Mechanism mpk = Mechanism::IntelMpk, ept = Mechanism::VmEpt;
+    auto mkMech = [](std::vector<Mechanism> blocks) {
+        ConfigPoint p = mk({0, 1}, {0, 0});
         p.blockMechanism = std::move(blocks);
         return p;
     };
-    ConfigPoint allMpk = mkMech({1, 1});
-    ConfigPoint mixed = mkMech({1, 2});
-    ConfigPoint allEpt = mkMech({2, 2});
-    ConfigPoint flipped = mkMech({2, 1});
+    ConfigPoint allMpk = mkMech({mpk, mpk});
+    ConfigPoint mixed = mkMech({mpk, ept});
+    ConfigPoint allEpt = mkMech({ept, ept});
+    ConfigPoint flipped = mkMech({ept, mpk});
     EXPECT_EQ(compareSafety(allMpk, mixed), SafetyOrder::Less);
+    EXPECT_EQ(compareSafety(mixed, allMpk), SafetyOrder::Greater);
     EXPECT_EQ(compareSafety(mixed, allEpt), SafetyOrder::Less);
     EXPECT_EQ(compareSafety(allMpk, allEpt), SafetyOrder::Less);
     EXPECT_EQ(compareSafety(mixed, flipped), SafetyOrder::Incomparable);
-}
-
-TEST(CompareSafety, MixedComparableWithHomogeneousScalar)
-{
-    // A scalar-rank (homogeneous) point and a per-block point compare
-    // through the same component-wise rule.
-    ConfigPoint homogeneous = mk({0, 1}, {0, 0}, /*mech=*/1);
-    ConfigPoint mixed;
-    mixed.partition = {0, 1};
-    mixed.hardening = {0, 0};
-    mixed.blockMechanism = {1, 2}; // mpk + ept
-    EXPECT_EQ(compareSafety(homogeneous, mixed), SafetyOrder::Less);
-    EXPECT_EQ(compareSafety(mixed, homogeneous), SafetyOrder::Greater);
 }
 
 TEST(Wayfinder, MixedSpaceEnumeratesPerBlockAssignments)
@@ -344,8 +573,8 @@ TEST(Wayfinder, MixedSpaceEnumeratesPerBlockAssignments)
         for (int b : p.partition)
             key += std::to_string(b);
         key += "|";
-        for (int m : p.blockMechanism)
-            key += std::to_string(m);
+        for (Mechanism m : p.blockMechanism)
+            key += mechanismName(m);
         seen.insert(key);
     }
     EXPECT_EQ(seen.size(), 116u);
@@ -363,18 +592,8 @@ TEST(Wayfinder, MixedConfigsValidateAndMaterializeMechanisms)
         if (cfg.mechanisms().size() > 1)
             ++heterogeneous;
         // Each block's compartment carries its assigned mechanism.
-        static const Mechanism byRank[] = {
-            Mechanism::None, Mechanism::IntelMpk, Mechanism::VmEpt,
-            Mechanism::Cheri};
-        for (std::size_t c = 0; c < p.partition.size(); ++c) {
-            Mechanism want =
-                byRank[p.blockMechanism[static_cast<std::size_t>(
-                    p.partition[c])]];
-            EXPECT_EQ(cfg.compartments[static_cast<std::size_t>(
-                                           p.partition[c])]
-                          .mechanism,
-                      want);
-        }
+        for (std::size_t b = 0; b < p.blockMechanism.size(); ++b)
+            EXPECT_EQ(cfg.compartments[b].mechanism, p.blockMechanism[b]);
     }
     EXPECT_GT(heterogeneous, 0);
 }
@@ -382,22 +601,15 @@ TEST(Wayfinder, MixedConfigsValidateAndMaterializeMechanisms)
 TEST(Wayfinder, MixedPointMeasuresBetweenHomogeneousCorners)
 {
     // Partition E (3 blocks): all-MPK vs net-block-on-EPT vs all-EPT.
-    ConfigPoint base;
-    base.partition = {0, 0, 1, 2};
-    base.hardening = {0, 0, 0, 0};
-    base.sharingRank = 1;
-
-    auto withMechs = [&](std::vector<int> m) {
-        ConfigPoint p = base;
+    constexpr Mechanism mpk = Mechanism::IntelMpk, ept = Mechanism::VmEpt;
+    auto withMechs = [](std::vector<Mechanism> m) {
+        ConfigPoint p = wayfinder::basePoint({0, 0, 1, 2});
         p.blockMechanism = std::move(m);
         return p;
     };
-    double allMpk =
-        wayfinder::measureRedis(withMechs({1, 1, 1}), 150);
-    double netEpt =
-        wayfinder::measureRedis(withMechs({1, 1, 2}), 150);
-    double allEpt =
-        wayfinder::measureRedis(withMechs({2, 2, 2}), 150);
+    double allMpk = wayfinder::measureRedis(withMechs({mpk, mpk, mpk}), 150);
+    double netEpt = wayfinder::measureRedis(withMechs({mpk, mpk, ept}), 150);
+    double allEpt = wayfinder::measureRedis(withMechs({ept, ept, ept}), 150);
     // Stronger mechanisms on more boundaries cost more.
     EXPECT_GT(allMpk, netEpt);
     EXPECT_GT(netEpt, allEpt);
@@ -429,14 +641,12 @@ TEST(Wayfinder, LabelsRenderPartitionAndHardening)
 
 TEST(CompareSafety, DeniedEdgeSupersetIsSafer)
 {
-    ConfigPoint base;
-    base.partition = {0, 0, 1, 2};
-    base.hardening = {0, 0, 0, 0};
+    ConfigPoint base = wayfinder::basePoint({0, 0, 1, 2});
 
     ConfigPoint one = base, two = base, other = base;
-    one.deniedEdges = {{1, 2}};
-    two.deniedEdges = {{1, 2}, {2, 1}};
-    other.deniedEdges = {{2, 1}};
+    one.rules = {denyRule(1, 2)};
+    two.rules = {denyRule(1, 2), denyRule(2, 1)};
+    other.rules = {denyRule(2, 1)};
 
     // Denying more edges is safer; disjoint sets are incomparable.
     EXPECT_EQ(compareSafety(base, one), SafetyOrder::Less);
@@ -446,10 +656,9 @@ TEST(CompareSafety, DeniedEdgeSupersetIsSafer)
 
     // Across different partitions block ids do not line up: the
     // dimension only stays comparable when neither denies anything.
-    ConfigPoint coarser = base;
-    coarser.partition = {0, 0, 1, 1};
+    ConfigPoint coarser = wayfinder::basePoint({0, 0, 1, 1});
     EXPECT_EQ(compareSafety(coarser, base), SafetyOrder::Less);
-    coarser.deniedEdges = {{0, 1}};
+    coarser.rules = {denyRule(0, 1)};
     EXPECT_EQ(compareSafety(coarser, one), SafetyOrder::Incomparable);
 }
 
@@ -466,7 +675,13 @@ TEST(Wayfinder, LeastPrivilegeSpaceSkipsRequiredEdges)
     for (const ConfigPoint &p : space) {
         SafetyConfig cfg = wayfinder::toSafetyConfig(p, "libredis");
         EXPECT_NO_THROW(tc.validate(cfg));
-        if (!p.deniedEdges.empty()) {
+        std::vector<std::pair<int, int>> denied;
+        for (const BoundaryRule &r : p.rules) {
+            EXPECT_TRUE(r.deny.value_or(false));
+            denied.emplace_back(cfg.compartmentIndex(r.from),
+                                cfg.compartmentIndex(r.to));
+        }
+        if (!denied.empty()) {
             // Image build runs the static-edge deny rejection; a
             // least-privilege point must never trip it.
             Machine mach;
@@ -478,23 +693,23 @@ TEST(Wayfinder, LeastPrivilegeSpaceSkipsRequiredEdges)
         }
         auto required =
             wayfinder::requiredBlockEdges(p.partition, "libredis");
-        for (const auto &edge : p.deniedEdges) {
+        for (const auto &edge : denied) {
             sawDeny = true;
             for (const auto &req : required)
                 EXPECT_NE(edge, req);
         }
         // The matrix resolves the deny rules the point asked for.
         GateMatrix m = GateMatrix::build(cfg);
-        for (const auto &[f, t] : p.deniedEdges)
+        for (const auto &[f, t] : denied)
             EXPECT_TRUE(m.at(f, t).deny);
     }
     EXPECT_TRUE(sawDeny); // the dimension is not degenerate
 
     // Denied labels render and the points order in the poset.
     for (const ConfigPoint &p : space) {
-        if (p.deniedEdges.empty())
+        if (p.rules.empty())
             continue;
-        EXPECT_NE(wayfinder::pointLabel(p, "libredis").find("deny{"),
+        EXPECT_NE(wayfinder::pointLabel(p, "libredis").find("deny: true"),
                   std::string::npos);
     }
 }

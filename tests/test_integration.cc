@@ -254,10 +254,10 @@ TEST(Integration, HardeningMonotonicallyCostsThroughput)
     std::vector<unsigned> masks = {0x0, 0x1, 0x9, 0xd, 0xf};
     double prev = 1e18;
     for (unsigned mask : masks) {
-        ConfigPoint p;
-        p.partition = {0, 0, 0, 1};
-        p.hardening = {mask & 1u, (mask >> 1) & 1u, (mask >> 2) & 1u,
-                       (mask >> 3) & 1u};
+        ConfigPoint p = wayfinder::basePoint({0, 0, 0, 1});
+        for (unsigned c = 0; c < 4; ++c)
+            p.hardening[c] =
+                (mask >> c) & 1 ? wayfinder::fig6Hardening : 0;
         double perf = wayfinder::measureRedis(p, 250);
         EXPECT_LT(perf, prev) << "mask " << mask;
         prev = perf;
