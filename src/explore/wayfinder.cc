@@ -357,32 +357,29 @@ prunedBoundarySweep(const std::vector<int> &partition,
     for (std::size_t d = 0; d < axes.size(); ++d) {
         std::vector<ConfigPoint> &pts = axes[d];
         std::size_t n = pts.size();
-        auto table = [&] {
-            std::vector<GateMatrix> mats;
-            for (const ConfigPoint &p : pts)
-                mats.push_back(blockMatrix(p));
-            std::vector<std::vector<bool>> t(n, std::vector<bool>(n));
-            for (std::size_t a = 0; a < n; ++a)
-                for (std::size_t b = 0; b < n; ++b)
-                    t[a][b] = a == b || compareSafety(pts[a], mats[a],
-                                                      pts[b], mats[b]) ==
-                                            SafetyOrder::Less;
-            return t;
+        std::vector<GateMatrix> mats;
+        for (const ConfigPoint &p : pts)
+            mats.push_back(blockMatrix(p));
+        auto leq = [&](std::size_t a, std::size_t b) {
+            return a == b || compareSafety(pts[a], mats[a], pts[b],
+                                           mats[b]) == SafetyOrder::Less;
         };
-        le[d] = table();
         std::vector<std::pair<std::size_t, std::size_t>> bySize;
         for (std::size_t b = 0; b < n; ++b) {
             std::size_t below = 0;
             for (std::size_t a = 0; a < n; ++a)
-                below += le[d][a][b];
+                below += leq(a, b);
             bySize.emplace_back(below, b);
         }
         std::sort(bySize.begin(), bySize.end());
+        le[d].assign(n, std::vector<bool>(n));
         std::vector<ConfigPoint> listed;
-        for (const auto &[below, b] : bySize)
-            listed.push_back(pts[b]);
+        for (std::size_t a = 0; a < n; ++a) {
+            listed.push_back(pts[bySize[a].second]);
+            for (std::size_t b = 0; b < n; ++b)
+                le[d][a][b] = leq(bySize[a].second, bySize[b].second);
+        }
         pts = std::move(listed);
-        le[d] = table();
         dims.push_back({names[d], n, [&le, d](std::size_t a, std::size_t b) {
                             return bool(le[d][a][b]);
                         }});

@@ -479,5 +479,96 @@ TEST(PrunedProduct, MatchesBruteForceAndSkipsDominatedFailures)
     EXPECT_LT(evals, 12u);
 }
 
+TEST(PrunedProduct, BoundarySweepMatchesBruteForce)
+{
+    // A synthetic perf that drops by one per safety feature of every
+    // block boundary is monotone in the safety order, so the pruned
+    // sweep must accept exactly the product points a brute-force pass
+    // accepts, while evaluating fewer of them. Wider batches are
+    // faster: a miss at one batch width must not prune another.
+    auto cells = [](const ConfigPoint &p) {
+        GateMatrix m = blockMatrix(p);
+        std::vector<GatePolicy> out;
+        for (std::size_t f = 0; f < m.size(); ++f)
+            for (std::size_t t = 0; t < m.size(); ++t)
+                out.push_back(m.at(static_cast<int>(f), static_cast<int>(t)));
+        return out;
+    };
+    auto perf = [&](const ConfigPoint &p) {
+        double v = 100;
+        for (const GatePolicy &c : cells(p))
+            v -= (c.mech == Mechanism::IntelMpk ? 1
+                  : c.mech == Mechanism::None   ? 0
+                                                : 2) +
+                 (c.flavor == MpkGateFlavor::Dss) + c.deny +
+                 !elidesValidate(c.elide) + !elidesScrub(c.elide) -
+                 static_cast<double>(c.batch) / 4;
+        return v;
+    };
+    auto key = [&](const ConfigPoint &p) {
+        std::string k;
+        for (const GatePolicy &c : cells(p))
+            k += std::string(mechanismName(c.mech)) + "/" +
+                 std::to_string(static_cast<int>(c.flavor)) + "/" +
+                 std::to_string(c.deny) + "/" + elideName(c.elide) + "/" +
+                 std::to_string(c.batch) + ";";
+        return k;
+    };
+    const std::vector<int> part = {0, 0, 0, 1};
+    auto slice = [&](std::vector<ConfigPoint> space) {
+        std::erase_if(space, [&](const ConfigPoint &p) {
+            return p.partition != part;
+        });
+        return space;
+    };
+    constexpr double minPerf = 88;
+
+    // Brute force over mechanism x flavour x deny x (batch, elide).
+    std::multiset<std::string> want;
+    std::vector<ConfigPoint> all;
+    for (const ConfigPoint &m : slice(wayfinder::mixedMechanismSpace()))
+        for (const ConfigPoint &f : slice(wayfinder::gateFlavorSpace()))
+            for (const ConfigPoint &d :
+                 slice(wayfinder::leastPrivilegeSpace()))
+                for (const ConfigPoint &b :
+                     slice(wayfinder::batchingSpace())) {
+                    ConfigPoint p = m;
+                    for (const ConfigPoint *q : {&f, &d, &b})
+                        p.rules.insert(p.rules.end(), q->rules.begin(),
+                                       q->rules.end());
+                    if (perf(p) >= minPerf)
+                        want.insert(key(p));
+                    all.push_back(std::move(p));
+                }
+    // The sweep must evaluate exactly the points no failing point
+    // lies strictly below, at the same batch width.
+    std::vector<GateMatrix> mats;
+    for (const ConfigPoint &p : all)
+        mats.push_back(blockMatrix(p));
+    std::size_t mustEvaluate = 0;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        bool pruned = false;
+        for (std::size_t j = 0; j < all.size() && !pruned; ++j)
+            pruned = perf(all[j]) < minPerf &&
+                     mats[j].at(0, 0).batch == mats[i].at(0, 0).batch &&
+                     compareSafety(all[j], mats[j], all[i], mats[i]) ==
+                         SafetyOrder::Less;
+        mustEvaluate += !pruned;
+    }
+
+    std::vector<ConfigPoint> accepted;
+    std::size_t evaluated = wayfinder::prunedBoundarySweep(
+        part, "libredis", [&](ConfigPoint &p) { return perf(p); },
+        minPerf, accepted);
+    std::multiset<std::string> got;
+    for (const ConfigPoint &p : accepted)
+        got.insert(key(p));
+    EXPECT_EQ(all.size(), 768u);
+    EXPECT_EQ(got, want);
+    EXPECT_GT(want.size(), 0u);
+    EXPECT_EQ(evaluated, mustEvaluate);
+    EXPECT_LT(evaluated, all.size());
+}
+
 } // namespace
 } // namespace flexos
