@@ -291,7 +291,7 @@ TEST(CompareSafety, OrderAxiomsHoldOnRandomSamples)
         bool denies = false;
         for (const ConfigPoint &p : pts)
             for (const BoundaryRule &r : p.rules)
-                denies = denies || r.deny;
+                denies = denies || r.deny.value_or(false);
         EXPECT_EQ(denies, withDeny);
     }
 }
