@@ -1,18 +1,21 @@
 /**
  * @file
  * Vectored-crossing tests: `batch:` / `coalesce:` / `elide:` knob
- * parse + toText round-trip and wildcard layering, the batch: 1
- * vcycle-identity regression, exact chunk arithmetic (one gate plus
- * per-slot dispatch), per-logical-call throttle debiting, elision
- * streaks resetting on interleaved boundaries, RX integrity under the
- * deployment's batched drain, and the monotone product-space pruner
- * against brute force.
+ * parse + toText round-trip and wildcard layering, the crossing
+ * contract on every mechanism (batch: 1 vcycle identity, exact chunk
+ * arithmetic, the ledger after a throwing body), per-logical-call
+ * throttle debiting, elision streaks resetting on interleaved
+ * boundaries, RX integrity under the deployment's batched drain, and
+ * the monotone product-space pruner against brute force.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <ostream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -167,14 +170,84 @@ libraries:
 - lwip: b
 )";
 
+/** How a mechanism's backend carries a chunk of batched calls. */
+enum class Vectoring
+{
+    OneLeg,  ///< MPK, CHERI: one entry/return leg plus per-slot dispatch
+    OneRpc,  ///< EPT: one ring slot and one doorbell for the chunk
+    PerCall, ///< the baselines: a full crossing per call
+};
+
+/** One mechanism (and gate policy) the crossing contract runs over. */
+struct MechanismCase
+{
+    const char *name;
+    const char *mechanism;
+    const char *rule; ///< boundary rule for every edge, or nullptr
+    Vectoring vectoring;
+    /** The timing constant one round trip costs, where it is one. */
+    Cycles TimingModel::*roundTrip;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const MechanismCase &c)
+{
+    return os << c.name;
+}
+
+const MechanismCase mechanismCases[] = {
+    {"mpk_light", "intel-mpk", "'*' -> '*': {gate: light}",
+     Vectoring::OneLeg, &TimingModel::mpkLightGate},
+    {"mpk_dss", "intel-mpk", "'*' -> '*': {gate: dss}", Vectoring::OneLeg,
+     &TimingModel::mpkDssGate},
+    {"mpk_dss_noscrub", "intel-mpk",
+     "'*' -> '*': {gate: dss, scrub: false}", Vectoring::OneLeg, nullptr},
+    {"cheri", "cheri", nullptr, Vectoring::OneLeg, nullptr},
+    {"ept", "vm-ept", nullptr, Vectoring::OneRpc, nullptr},
+    {"none", "none", nullptr, Vectoring::PerCall,
+     &TimingModel::functionCall},
+    {"linux_pt", "linux-pt", nullptr, Vectoring::PerCall,
+     &TimingModel::syscallKpti},
+    {"sel4_ipc", "sel4-ipc", nullptr, Vectoring::PerCall,
+     &TimingModel::sel4Ipc},
+    {"cubicle_mpk", "cubicle-mpk", nullptr, Vectoring::PerCall, nullptr},
+};
+
 /**
- * Wall cycles and counters after driving `calls` crossings a -> b
- * through gateBatch in chunks of `perCall` bodies, on a fresh
- * machine built from `text`.
+ * Compartments a (libredis) and b (lwip) under the case's mechanism,
+ * with its rule and an optional second one.
  */
-std::pair<Cycles, std::map<std::string, std::uint64_t>>
-runBatched(LibraryRegistry &reg, const std::string &text,
-           std::size_t calls, std::size_t perCall)
+std::string
+twoComp(const MechanismCase &c, const char *extraRule = nullptr)
+{
+    std::string text = std::string("compartments:\n- a:\n    mechanism: ") +
+                       c.mechanism + "\n    default: True\n- b:\n"
+                       "    mechanism: " + c.mechanism +
+                       "\nlibraries:\n- libredis: a\n- lwip: b\n";
+    if (c.rule || extraRule)
+        text += "boundaries:\n";
+    for (const char *rule : {c.rule, extraRule})
+        if (rule)
+            text += std::string("- ") + rule + "\n";
+    return text;
+}
+
+/** What a run of a -> b crossings leaves behind. */
+struct CrossingRun
+{
+    Cycles wall = 0;
+    std::map<std::string, std::uint64_t> counters;
+    std::map<std::pair<int, int>, std::uint64_t> crossings;
+};
+
+/**
+ * Drive `calls` crossings a -> b on a fresh machine built from `text`:
+ * plain gate() calls when `perCall` is 0, otherwise gateBatch() in
+ * chunks of `perCall` bodies.
+ */
+CrossingRun
+runCrossings(LibraryRegistry &reg, const std::string &text,
+             std::size_t calls, std::size_t perCall)
 {
     Machine m;
     MachineScope scope(m);
@@ -186,64 +259,102 @@ runBatched(LibraryRegistry &reg, const std::string &text,
     auto img = tc.build(m, sched, cfg);
     std::vector<std::function<void()>> bodies(perCall, [] {});
     img->spawnIn("libredis", "t", [&] {
-        for (std::size_t i = 0; i < calls; i += perCall)
-            img->gateBatch("lwip", "recv", bodies);
+        for (std::size_t i = 0; i < calls; i += perCall ? perCall : 1) {
+            if (perCall)
+                img->gateBatch("lwip", "recv", bodies);
+            else
+                img->gate("lwip", "recv", [] {});
+        }
     });
     sched.run();
     img->shutdown();
-    return {m.wallCycles(), m.counters()};
+    return {m.wallCycles(), m.counters(), img->gateCrossings()};
 }
 
-TEST_F(BatchingFixture, BatchOneIsVcycleIdenticalToSequentialGates)
+/**
+ * Average vcycles per call of `calls` a -> b crossings, measured the
+ * way fig11b measures its rows: plain gate() calls when `width` is 0,
+ * otherwise gateBatch() in chunks of `width`, on a deployment without
+ * network or filesystem.
+ */
+double
+perCallCost(const std::string &text, std::size_t width)
+{
+    DeployOptions opts;
+    opts.withNet = false;
+    opts.withFs = false;
+    Deployment dep(text, opts);
+    constexpr std::size_t calls = 2000;
+    std::vector<std::function<void()>> bodies(width, [] {});
+    Cycles measured = 0;
+    bool done = false;
+    dep.image().spawnIn("libredis", "gate-bench", [&] {
+        Cycles before = dep.machine().cycles();
+        for (std::size_t i = 0; i < calls; i += width ? width : 1) {
+            if (width)
+                dep.image().gateBatch("lwip", "recv", bodies);
+            else
+                dep.image().gate("lwip", "recv", [] {});
+        }
+        measured = dep.machine().cycles() - before;
+        done = true;
+    });
+    dep.scheduler().runUntil([&] { return done; });
+    EXPECT_TRUE(done);
+    EXPECT_EQ(dep.image().gateCrossings().at({0, 1}), calls);
+    return static_cast<double>(measured) / calls;
+}
+
+/** The crossing contract, run once per mechanism. */
+struct CrossingContract : BatchingFixture,
+                          ::testing::WithParamInterface<MechanismCase>
+{
+};
+
+TEST_P(CrossingContract, BatchOneIsVcycleIdenticalToSequentialGates)
 {
     // The regression pin: `batch: 1` (and an unconfigured boundary
     // driven through the vectored API) must be bit-identical in
-    // virtual time AND counters to the plain sequential gate.
-    Machine m;
-    {
-        MachineScope scope(m);
-        Scheduler sched(m);
-        Toolchain tc2(reg);
-        SafetyConfig cfg = SafetyConfig::parse(twoCompMpk);
-        cfg.heapBytes = 1 << 20;
-        cfg.sharedHeapBytes = 1 << 20;
-        auto img = tc2.build(m, sched, cfg);
-        img->spawnIn("libredis", "t", [&] {
-            for (int i = 0; i < 64; ++i)
-                img->gate("lwip", "recv", [] {});
-        });
-        sched.run();
-        img->shutdown();
+    // virtual time, counters and the crossing ledger to the plain
+    // sequential gate.
+    const MechanismCase &c = GetParam();
+    CrossingRun plain = runCrossings(reg, twoComp(c), 64, 0);
+    for (const CrossingRun &run :
+         {runCrossings(reg, twoComp(c), 64, 1),
+          runCrossings(reg, twoComp(c, "a -> b: {batch: 1}"), 64, 1)}) {
+        EXPECT_EQ(run.wall, plain.wall);
+        EXPECT_EQ(run.counters, plain.counters);
+        EXPECT_EQ(run.crossings, plain.crossings);
     }
-    auto [plainCycles, plainCounters] = std::make_pair(m.wallCycles(),
-                                                       m.counters());
-
-    auto [defCycles, defCounters] =
-        runBatched(reg, twoCompMpk, 64, 1);
-    auto [oneCycles, oneCounters] = runBatched(
-        reg,
-        std::string(twoCompMpk) + "boundaries:\n- a -> b: {batch: 1}\n",
-        64, 1);
-    EXPECT_EQ(defCycles, plainCycles);
-    EXPECT_EQ(defCounters, plainCounters);
-    EXPECT_EQ(oneCycles, plainCycles);
-    EXPECT_EQ(oneCounters, plainCounters);
+    EXPECT_EQ(plain.crossings.at({0, 1}), 64u);
     // No vectored-path artifacts exist at width 1.
-    EXPECT_EQ(plainCounters.count("gate.batched"), 0u);
-    EXPECT_EQ(plainCounters.count("gate.coalesced"), 0u);
+    EXPECT_EQ(plain.counters.count("gate.batched"), 0u);
+    EXPECT_EQ(plain.counters.count("gate.coalesced"), 0u);
 }
 
-TEST_F(BatchingFixture, BatchedChunkCostsOneGatePlusSlotDispatch)
+TEST_P(CrossingContract, BatchedChunkCostsOneGatePlusSlotDispatch)
 {
-    // A full chunk of k calls costs exactly one gate round trip plus
-    // (k - 1) per-slot dispatches — the arithmetic behind fig11b's
-    // (462 + 7 x 6) / 8 = 63 EPT step-change, here on the MPK DSS
-    // boundary where nothing blocks.
-    auto img = buildFrom(std::string(twoCompMpk) +
-                         "boundaries:\n- a -> b: {batch: 8}\n");
+    // A full chunk of 8 calls costs one gate round trip plus 7
+    // per-slot dispatches where the backend amortizes the transition
+    // (MPK, CHERI), and 8 round trips where it cannot (the baselines).
+    const MechanismCase &c = GetParam();
+    const std::string batched = twoComp(c, "a -> b: {batch: 8}");
+    if (c.vectoring == Vectoring::OneRpc) {
+        // EPT, as fig11b measures it: one doorbell per 8 calls turns
+        // the 462-vcycle round trip into (462 + 7 x 6) / 8 = 63.
+        double roundTrip = perCallCost(twoComp(c), 0);
+        EXPECT_EQ(roundTrip, static_cast<double>(
+                                 mach.timing.eptGate +
+                                 2 * mach.timing.contextSwitch +
+                                 mach.timing.pollDispatch));
+        EXPECT_EQ(perCallCost(batched, 8),
+                  (roundTrip + 7.0 * mach.timing.batchSlot) / 8);
+        return;
+    }
+    auto img = buildFrom(batched);
     std::vector<std::function<void()>> one(1, [] {});
     std::vector<std::function<void()>> eight(8, [] {});
-    Cycles gateCost = 0, chunkCost = 0;
+    Cycles gateCost = 0, eightGatesCost = 0, chunkCost = 0;
     bool done = false;
     img->spawnIn("libredis", "t", [&] {
         img->gateBatch("lwip", "recv", one); // warm the sim stack
@@ -251,18 +362,70 @@ TEST_F(BatchingFixture, BatchedChunkCostsOneGatePlusSlotDispatch)
         img->gateBatch("lwip", "recv", one);
         gateCost = mach.cycles() - t0;
         t0 = mach.cycles();
+        for (int i = 0; i < 8; ++i)
+            img->gateBatch("lwip", "recv", one);
+        eightGatesCost = mach.cycles() - t0;
+        // An even number of calls so far: cubicle-mpk's every-other
+        // trap-and-map fault lines up with the eight gates above.
+        t0 = mach.cycles();
         img->gateBatch("lwip", "recv", eight);
         chunkCost = mach.cycles() - t0;
         done = true;
     });
     sched.runUntil([&] { return done; });
     ASSERT_TRUE(done);
-    EXPECT_EQ(gateCost, static_cast<Cycles>(mach.timing.mpkDssGate));
-    EXPECT_EQ(chunkCost, gateCost + 7 * mach.timing.batchSlot);
+    if (c.roundTrip) {
+        EXPECT_EQ(gateCost, mach.timing.*c.roundTrip);
+    }
+    if (c.vectoring == Vectoring::OneLeg) {
+        EXPECT_EQ(chunkCost, gateCost + 7 * mach.timing.batchSlot);
+    } else {
+        EXPECT_EQ(chunkCost, eightGatesCost);
+    }
     EXPECT_EQ(mach.counter("gate.batched"), 1u);
     EXPECT_EQ(mach.counter("gate.batchedCalls"), 8u);
+    EXPECT_EQ(img->gateCrossings().at({0, 1}), 18u);
     img->shutdown();
 }
+
+TEST_P(CrossingContract, ThrowingBodyAbortsTheChunk)
+{
+    // An exception from the second body of a chunk aborts the rest
+    // and unwinds out of gateBatch. The crossing ledger counts the
+    // calls the chunk carried: all of them on MPK, CHERI and EPT,
+    // which enter once for the chunk; only the bodies reached on the
+    // baselines, which cross once per body.
+    const MechanismCase &c = GetParam();
+    auto img = buildFrom(twoComp(c, "a -> b: {batch: 8}"));
+    int ran = 0;
+    std::vector<std::function<void()>> bodies(8, [&] { ++ran; });
+    bodies[1] = [&] {
+        ++ran;
+        throw std::runtime_error("second body");
+    };
+    bool threw = false, done = false;
+    img->spawnIn("libredis", "t", [&] {
+        try {
+            img->gateBatch("lwip", "recv", bodies);
+        } catch (const std::runtime_error &) {
+            threw = true;
+        }
+        done = true;
+    });
+    sched.runUntil([&] { return done; });
+    ASSERT_TRUE(done);
+    EXPECT_TRUE(threw);
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(img->gateCrossings().at({0, 1}),
+              c.vectoring == Vectoring::PerCall ? 2u : 8u);
+    img->shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mechanisms, CrossingContract, ::testing::ValuesIn(mechanismCases),
+    [](const ::testing::TestParamInfo<MechanismCase> &info) {
+        return std::string(info.param.name);
+    });
 
 // ------------------------------------------- throttle per logical call
 
