@@ -12,6 +12,9 @@
  * - CHERI: a sketch backend (paper 4.3) — CInvoke-style inline domain
  *   transitions with sentry-capability entry checks.
  * - LinuxPt / Sel4Ipc / CubicleMpk: baseline crossing-cost regimes.
+ *
+ * Each has one gate, cross(), for plain and batched crossings: MPK,
+ * CHERI and EPT amortize a chunk, None and the baselines do not.
  */
 
 #include "core/backend.hh"
@@ -149,17 +152,18 @@ class NoneBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+    cross(Image &img, int, int to, const GatePolicy &, const std::string &,
+          const char *, double workMult, const std::function<void()> *bodies,
+          std::size_t count) override
     {
         // No isolation: the "gate" is the function call itself.
         auto &m = img.machine();
-        m.consume(m.timing.functionCall);
-        m.bump("gate.none");
-        img.noteCrossing(from, to);
-        DomainTransition dt(img, to, workMult);
-        body();
+        for (std::size_t i = 0; i < count; ++i) {
+            m.consume(m.timing.functionCall);
+            m.bump("gate.none");
+            DomainTransition dt(img, to, workMult);
+            bodies[i]();
+        }
     }
 };
 
@@ -193,9 +197,9 @@ class MpkBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &policy,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+    cross(Image &img, int, int to, const GatePolicy &policy,
+          const std::string &, const char *, double workMult,
+          const std::function<void()> *bodies, std::size_t count) override
     {
         auto &m = img.machine();
         Cycles returnCost = 0;
@@ -204,14 +208,9 @@ class MpkBackend : public IsolationBackend
             // register set are shared with the callee (nothing to
             // scrub on return). Entry leg is the first wrpkru + call;
             // the second wrpkru + return is charged on the way back.
-            // The callee's sim stack (used by any DssFrame it opens)
-            // still follows this boundary's stack-sharing policy.
             m.consume(m.timing.mpkLightGate - m.timing.mpkLightReturn);
             returnCost = m.timing.mpkLightReturn;
             m.bump("gate.mpk.light");
-            Thread *t = img.scheduler().current();
-            if (t)
-                img.simStackFor(t->id(), to, policy.stackSharing);
         } else {
             // HODOR-style full gate: save+zero the register set, switch
             // thread permissions, switch to the compartment's stack via
@@ -230,57 +229,22 @@ class MpkBackend : public IsolationBackend
             // The entry-side register save/zero: the callee starts
             // from a clean scratch file (the light gate shares it).
             m.scrubScratch();
-            // Touch the per-thread compartment stack registry so the
-            // target stack exists (the functional stack switch), laid
-            // out under this boundary's stack-sharing policy.
-            Thread *t = img.scheduler().current();
-            if (t)
-                img.simStackFor(t->id(), to, policy.stackSharing);
         }
-        img.noteCrossing(from, to);
-        ReturnCharge rc(m, returnCost,
-                        policy.flavor != MpkGateFlavor::Light &&
-                            policy.scrubReturn);
-        DomainTransition dt(img, to, workMult);
-        body();
-    }
-
-    void
-    crossCallBatch(Image &img, int from, int to,
-                   const GatePolicy &policy, const std::string &,
-                   const char *, double workMult,
-                   const std::function<void()> *bodies,
-                   std::size_t count) override
-    {
-        // One entry/return leg for the whole vector: the PKRU switch,
-        // register save/zero and stack switch are paid once, each
-        // extra call only its slot-dispatch cost. The bodies run
+        // One entry/return leg for a whole batched chunk: the PKRU
+        // switch, register save/zero and stack switch are paid once,
+        // each extra call only its slot-dispatch cost. The bodies run
         // back-to-back inside the callee domain.
-        auto &m = img.machine();
-        Cycles returnCost = 0;
-        if (policy.flavor == MpkGateFlavor::Light) {
-            m.consume(m.timing.mpkLightGate - m.timing.mpkLightReturn);
-            returnCost = m.timing.mpkLightReturn;
-            m.bump("gate.mpk.light");
-        } else {
-            m.consume(m.timing.mpkDssGate - m.timing.mpkDssReturn);
-            returnCost = m.timing.mpkDssReturn;
-            if (!policy.scrubReturn) {
-                returnCost -=
-                    std::min(returnCost, m.timing.registerSaveZero);
-                m.bump("gate.mpk.dss.noscrub");
-            }
-            m.bump("gate.mpk.dss");
-            m.scrubScratch();
-        }
         if (count > 1)
             m.consume(static_cast<Cycles>(count - 1) *
                       m.timing.batchSlot);
+        // Touch the per-thread compartment stack registry so the
+        // target stack exists (the DSS gate's functional stack switch;
+        // under the light gate, the sim stack any DssFrame the callee
+        // opens uses), laid out under this boundary's stack-sharing
+        // policy.
         Thread *t = img.scheduler().current();
         if (t)
             img.simStackFor(t->id(), to, policy.stackSharing);
-        for (std::size_t i = 0; i < count; ++i)
-            img.noteCrossing(from, to);
         ReturnCharge rc(m, returnCost,
                         policy.flavor != MpkGateFlavor::Light &&
                             policy.scrubReturn);
@@ -405,26 +369,105 @@ class EptBackend : public IsolationBackend
     }
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &policy,
-              const std::string &calleeLib, const char *fnName,
-              double workMult, const std::function<void()> &body) override
+    cross(Image &img, int, int to, const GatePolicy &policy,
+          const std::string &calleeLib, const char *fnName,
+          double workMult, const std::function<void()> *bodies,
+          std::size_t count) override
     {
-        submit(img, from, to, policy, calleeLib, fnName, workMult,
-               &body, 1);
-    }
+        auto &m = img.machine();
+        Scheduler &sched = img.scheduler();
+        Thread *caller = sched.current();
+        panic_if(!caller, "EPT RPC gate requires a thread context");
 
-    void
-    crossCallBatch(Image &img, int from, int to,
-                   const GatePolicy &policy,
-                   const std::string &calleeLib, const char *fnName,
-                   double workMult, const std::function<void()> *bodies,
-                   std::size_t count) override
-    {
-        // One ring slot and one doorbell carry the whole vector; the
-        // caller blocks once for all the calls and the server walks
-        // the slot's body list in order.
-        submit(img, from, to, policy, calleeLib, fnName, workMult,
-               bodies, count);
+        // Core-local shard: the caller enqueues on its own core's
+        // ring, so concurrent crossings from different cores into the
+        // same VM proceed independently. One ring slot and one
+        // doorbell carry a whole batched chunk; the caller blocks
+        // once for all its calls and the server walks the slot's body
+        // list in order.
+        Shard *shard = shardFor(img, to);
+        panic_if(!shard, "EPT RPC routed to a compartment without a VM");
+        Shard &sh = *shard;
+
+        // Doorbell coalescing under back-pressure (`coalesce:` key):
+        // a submission that finds requests already queued within the
+        // window of the last doorbell skips the ring notify — the
+        // earlier doorbell's server is still draining this ring and
+        // will reach the new slot (entries are only queued behind a
+        // rung doorbell, so the chain never strands a request).
+        bool coalesced = policy.coalesce && !sh.ring.empty() &&
+                         m.cycles() - sh.lastDoorbell <= policy.coalesce;
+
+        // Caller side: place the "function pointer" and arguments in
+        // the predefined shared area (paper 4.2) and wait. The entry
+        // leg is the request marshalling + doorbell; the response
+        // unmarshalling is charged when the RPC completes (also when
+        // it completes by raising — the error unwinds back through
+        // the same shared area). A policy waiving the return-side
+        // scrub skips the register save/zero the caller would
+        // otherwise redo when the RPC completes. A batched submission
+        // marshals each extra call into the next slot of the same
+        // request for a per-slot cost.
+        Cycles entryCost = m.timing.eptGate - m.timing.eptReturn;
+        if (count > 1)
+            entryCost += static_cast<Cycles>(count - 1) *
+                         m.timing.batchSlot;
+        if (coalesced) {
+            entryCost -= std::min(entryCost, m.timing.eptDoorbell);
+            m.bump("gate.coalesced");
+        }
+        m.consume(entryCost);
+        Cycles returnCost = m.timing.eptReturn;
+        if (!policy.scrubReturn) {
+            returnCost -= std::min(returnCost, m.timing.registerSaveZero);
+            m.bump("gate.ept.noscrub");
+        }
+        m.bump("gate.ept");
+        ReturnCharge rc(m, returnCost, policy.scrubReturn);
+
+        Rpc rpc;
+        rpc.bodies = bodies;
+        rpc.count = count;
+        rpc.calleeLib = &calleeLib;
+        rpc.fnName = fnName;
+        rpc.workMult = workMult;
+        rpc.stackSharing = policy.stackSharing;
+        WaitQueue doneWait(sched);
+        rpc.doneWait = &doneWait;
+
+        sh.ring.push_back(&rpc);
+        // Ring-depth high-water mark: the deepest any shard's request
+        // ring ever got (pool pressure; ROADMAP "EPT server pool
+        // sizing"). The machine counter tracks the max across VMs and
+        // survives reboots, so it only ratchets upward.
+        if (sh.ring.size() > sh.ringHighWater) {
+            sh.ringHighWater = sh.ring.size();
+            std::uint64_t cur = m.counter("gate.ept.ringDepth");
+            if (sh.ringHighWater > cur)
+                m.bump("gate.ept.ringDepth", sh.ringHighWater - cur);
+        }
+        // Elastic growth: if every server in the shard is busy
+        // (running or blocked inside an RPC body) and requests are
+        // queueing, add a server up to the cap so blocked bodies
+        // can't starve the boundary.
+        int idle = static_cast<int>(sh.pool.size()) - sh.busy;
+        if (static_cast<int>(sh.ring.size()) > idle &&
+            static_cast<int>(sh.pool.size()) < poolCap(img, to)) {
+            auto &shards = vms[static_cast<std::size_t>(to)].shards;
+            spawnServer(img, static_cast<std::size_t>(to),
+                        static_cast<std::size_t>(shard - shards.data()),
+                        /*elastic=*/true);
+            m.bump("gate.ept.elasticSpawns");
+        }
+        if (!coalesced) {
+            sh.serverIdle->wakeOne();
+            sh.lastDoorbell = m.cycles();
+        }
+
+        while (!rpc.done)
+            doneWait.wait();
+        if (rpc.error)
+            std::rethrow_exception(rpc.error);
     }
 
     ForgedRpcOutcome
@@ -433,16 +476,12 @@ class EptBackend : public IsolationBackend
                     const std::function<void()> &body) override
     {
         auto &m = img.machine();
-        if (to < 0 || static_cast<std::size_t>(to) >= vms.size() ||
-            vms[static_cast<std::size_t>(to)].shards.empty())
+        Shard *sh = shardFor(img, to);
+        if (!sh)
             return ForgedRpcOutcome::NoRing;
         Scheduler &sched = img.scheduler();
         panic_if(!sched.current(),
                  "forged RPC injection requires a thread context");
-        auto &vm = vms[static_cast<std::size_t>(to)];
-        auto &sh =
-            vm.shards[static_cast<std::size_t>(m.activeCore()) %
-                      vm.shards.size()];
 
         // A compromised compartment writing the shared ring memory:
         // the slot lands behind every caller-side gate check (deny,
@@ -460,10 +499,10 @@ class EptBackend : public IsolationBackend
         rpc.fnName = fnName;
         WaitQueue doneWait(sched);
         rpc.doneWait = &doneWait;
-        sh.ring.push_back(&rpc);
+        sh->ring.push_back(&rpc);
         m.bump("gate.ept.forgedRpcs");
-        sh.serverIdle->wakeOne();
-        sh.lastDoorbell = m.cycles();
+        sh->serverIdle->wakeOne();
+        sh->lastDoorbell = m.cycles();
         while (!rpc.done)
             doneWait.wait();
         // The slot's error (CfiViolation on rejection, or whatever the
@@ -478,19 +517,14 @@ class EptBackend : public IsolationBackend
     bool
     injectSpuriousDoorbell(Image &img, int to) override
     {
-        auto &m = img.machine();
-        if (to < 0 || static_cast<std::size_t>(to) >= vms.size() ||
-            vms[static_cast<std::size_t>(to)].shards.empty())
+        Shard *sh = shardFor(img, to);
+        if (!sh)
             return false;
-        auto &vm = vms[static_cast<std::size_t>(to)];
-        auto &sh =
-            vm.shards[static_cast<std::size_t>(m.activeCore()) %
-                      vm.shards.size()];
         // A replayed interrupt with no slot behind it: the woken
         // server observes an empty ring and re-idles (counted so the
         // scorecard can assert the wake was absorbed, not serviced).
-        m.bump("gate.ept.spuriousDoorbells");
-        sh.serverIdle->wakeOne();
+        img.machine().bump("gate.ept.spuriousDoorbells");
+        sh->serverIdle->wakeOne();
         return true;
     }
 
@@ -533,110 +567,6 @@ class EptBackend : public IsolationBackend
     }
 
   private:
-    void
-    submit(Image &img, int from, int to, const GatePolicy &policy,
-           const std::string &calleeLib, const char *fnName,
-           double workMult, const std::function<void()> *bodies,
-           std::size_t count)
-    {
-        auto &m = img.machine();
-        Scheduler &sched = img.scheduler();
-        Thread *caller = sched.current();
-        panic_if(!caller, "EPT RPC gate requires a thread context");
-
-        auto &vm = vms[static_cast<std::size_t>(to)];
-        panic_if(vm.shards.empty(),
-                 "EPT RPC routed to a compartment without a VM");
-        // Core-local shard: the caller enqueues on its own core's
-        // ring, so concurrent crossings from different cores into the
-        // same VM proceed independently.
-        auto &sh =
-            vm.shards[static_cast<std::size_t>(m.activeCore()) %
-                      vm.shards.size()];
-
-        // Doorbell coalescing under back-pressure (`coalesce:` key):
-        // a submission that finds requests already queued within the
-        // window of the last doorbell skips the ring notify — the
-        // earlier doorbell's server is still draining this ring and
-        // will reach the new slot (entries are only queued behind a
-        // rung doorbell, so the chain never strands a request).
-        bool coalesced = policy.coalesce && !sh.ring.empty() &&
-                         m.cycles() - sh.lastDoorbell <= policy.coalesce;
-
-        // Caller side: place the "function pointer" and arguments in
-        // the predefined shared area (paper 4.2) and wait. The entry
-        // leg is the request marshalling + doorbell; the response
-        // unmarshalling is charged when the RPC completes (also when
-        // it completes by raising — the error unwinds back through
-        // the same shared area). A policy waiving the return-side
-        // scrub skips the register save/zero the caller would
-        // otherwise redo when the RPC completes. A batched submission
-        // marshals each extra call into the next slot of the same
-        // request for a per-slot cost.
-        Cycles entryCost = m.timing.eptGate - m.timing.eptReturn;
-        if (count > 1)
-            entryCost += static_cast<Cycles>(count - 1) *
-                         m.timing.batchSlot;
-        if (coalesced) {
-            entryCost -= std::min(entryCost, m.timing.eptDoorbell);
-            m.bump("gate.coalesced");
-        }
-        m.consume(entryCost);
-        Cycles returnCost = m.timing.eptReturn;
-        if (!policy.scrubReturn) {
-            returnCost -= std::min(returnCost, m.timing.registerSaveZero);
-            m.bump("gate.ept.noscrub");
-        }
-        m.bump("gate.ept");
-        for (std::size_t i = 0; i < count; ++i)
-            img.noteCrossing(from, to);
-        ReturnCharge rc(m, returnCost, policy.scrubReturn);
-
-        Rpc rpc;
-        rpc.bodies = bodies;
-        rpc.count = count;
-        rpc.calleeLib = &calleeLib;
-        rpc.fnName = fnName;
-        rpc.workMult = workMult;
-        rpc.stackSharing = policy.stackSharing;
-        WaitQueue doneWait(sched);
-        rpc.doneWait = &doneWait;
-
-        sh.ring.push_back(&rpc);
-        // Ring-depth high-water mark: the deepest any shard's request
-        // ring ever got (pool pressure; ROADMAP "EPT server pool
-        // sizing"). The machine counter tracks the max across VMs and
-        // survives reboots, so it only ratchets upward.
-        if (sh.ring.size() > sh.ringHighWater) {
-            sh.ringHighWater = sh.ring.size();
-            std::uint64_t cur = m.counter("gate.ept.ringDepth");
-            if (sh.ringHighWater > cur)
-                m.bump("gate.ept.ringDepth", sh.ringHighWater - cur);
-        }
-        // Elastic growth: if every server in the shard is busy
-        // (running or blocked inside an RPC body) and requests are
-        // queueing, add a server up to the cap so blocked bodies
-        // can't starve the boundary.
-        int idle = static_cast<int>(sh.pool.size()) - sh.busy;
-        if (static_cast<int>(sh.ring.size()) > idle &&
-            static_cast<int>(sh.pool.size()) < poolCap(img, to)) {
-            spawnServer(img, static_cast<std::size_t>(to),
-                        static_cast<std::size_t>(m.activeCore()) %
-                            vm.shards.size(),
-                        /*elastic=*/true);
-            m.bump("gate.ept.elasticSpawns");
-        }
-        if (!coalesced) {
-            sh.serverIdle->wakeOne();
-            sh.lastDoorbell = m.cycles();
-        }
-
-        while (!rpc.done)
-            doneWait.wait();
-        if (rpc.error)
-            std::rethrow_exception(rpc.error);
-    }
-
     struct Rpc
     {
         /** The calls this slot carries: `count` bodies, run in order
@@ -675,6 +605,22 @@ class EptBackend : public IsolationBackend
         /** Core-sharded rings/pools; indexed by the caller's core. */
         std::vector<Shard> shards;
     };
+
+    /**
+     * The calling core's shard of compartment `to`'s VM, or nullptr
+     * when the compartment has no VM (another mechanism enforces it).
+     */
+    Shard *
+    shardFor(Image &img, int to)
+    {
+        if (to < 0 || static_cast<std::size_t>(to) >= vms.size())
+            return nullptr;
+        auto &shards = vms[static_cast<std::size_t>(to)].shards;
+        if (shards.empty())
+            return nullptr;
+        auto core = static_cast<std::size_t>(img.machine().activeCore());
+        return &shards[core % shards.size()];
+    }
 
     /** Per-shard elastic ceiling: at least the configured base size. */
     int
@@ -812,9 +758,9 @@ class CheriBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &policy,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+    cross(Image &img, int, int to, const GatePolicy &policy,
+          const std::string &, const char *, double workMult,
+          const std::function<void()> *bodies, std::size_t count) override
     {
         auto &m = img.machine();
         // Capability + register clear dominates; the return-side clear
@@ -828,43 +774,17 @@ class CheriBackend : public IsolationBackend
             returnCost -= std::min(returnCost, m.timing.registerSaveZero);
         m.bump("gate.cheri");
         m.scrubScratch();
+        // One CInvoke entry and one return-side clear for a whole
+        // batched chunk, each extra call paying only the slot-dispatch
+        // cost (the sentry check covers the shared entry point once).
+        if (count > 1)
+            m.consume(static_cast<Cycles>(count - 1) *
+                      m.timing.batchSlot);
         // The callee's sim stack follows this boundary's
         // stack-sharing policy, as on the MPK gates.
         Thread *t = img.scheduler().current();
         if (t)
             img.simStackFor(t->id(), to, policy.stackSharing);
-        img.noteCrossing(from, to);
-        ReturnCharge rc(m, returnCost, policy.scrubReturn);
-        DomainTransition dt(img, to, workMult);
-        body();
-    }
-
-    void
-    crossCallBatch(Image &img, int from, int to,
-                   const GatePolicy &policy, const std::string &,
-                   const char *, double workMult,
-                   const std::function<void()> *bodies,
-                   std::size_t count) override
-    {
-        // One CInvoke entry and one return-side clear for the whole
-        // vector, each extra call paying only the slot-dispatch cost
-        // (the sentry check covers the shared entry point once).
-        auto &m = img.machine();
-        m.consume(m.timing.registerSaveZero +
-                  (m.timing.mpkDssGate - m.timing.mpkDssReturn));
-        Cycles returnCost = m.timing.mpkDssReturn;
-        if (!policy.scrubReturn)
-            returnCost -= std::min(returnCost, m.timing.registerSaveZero);
-        m.bump("gate.cheri");
-        m.scrubScratch();
-        if (count > 1)
-            m.consume(static_cast<Cycles>(count - 1) *
-                      m.timing.batchSlot);
-        Thread *t = img.scheduler().current();
-        if (t)
-            img.simStackFor(t->id(), to, policy.stackSharing);
-        for (std::size_t i = 0; i < count; ++i)
-            img.noteCrossing(from, to);
         ReturnCharge rc(m, returnCost, policy.scrubReturn);
         DomainTransition dt(img, to, workMult);
         for (std::size_t i = 0; i < count; ++i)
@@ -885,19 +805,21 @@ class LinuxPtBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+    cross(Image &img, int, int to, const GatePolicy &, const std::string &,
+          const char *, double workMult, const std::function<void()> *bodies,
+          std::size_t count) override
     {
         auto &m = img.machine();
-        m.consume(kpti ? m.timing.syscallKpti : m.timing.syscallNoKpti);
-        m.bump("gate.syscall");
-        img.noteCrossing(from, to);
-        // The kernel return path sanitizes the scratch registers, as
-        // on a real syscall boundary.
-        ReturnCharge rc(m, 0, /*scrub=*/true);
-        DomainTransition dt(img, to, workMult);
-        body();
+        for (std::size_t i = 0; i < count; ++i) {
+            m.consume(kpti ? m.timing.syscallKpti
+                           : m.timing.syscallNoKpti);
+            m.bump("gate.syscall");
+            // The kernel return path sanitizes the scratch registers,
+            // as on a real syscall boundary.
+            ReturnCharge rc(m, 0, /*scrub=*/true);
+            DomainTransition dt(img, to, workMult);
+            bodies[i]();
+        }
     }
 
   private:
@@ -916,19 +838,20 @@ class Sel4IpcBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+    cross(Image &img, int, int to, const GatePolicy &, const std::string &,
+          const char *, double workMult, const std::function<void()> *bodies,
+          std::size_t count) override
     {
         auto &m = img.machine();
-        m.consume(m.timing.sel4Ipc);
-        m.bump("gate.sel4ipc");
-        img.noteCrossing(from, to);
-        // IPC replies carry only the message registers; everything
-        // else comes back zeroed.
-        ReturnCharge rc(m, 0, /*scrub=*/true);
-        DomainTransition dt(img, to, workMult);
-        body();
+        for (std::size_t i = 0; i < count; ++i) {
+            m.consume(m.timing.sel4Ipc);
+            m.bump("gate.sel4ipc");
+            // IPC replies carry only the message registers; everything
+            // else comes back zeroed.
+            ReturnCharge rc(m, 0, /*scrub=*/true);
+            DomainTransition dt(img, to, workMult);
+            bodies[i]();
+        }
     }
 };
 
@@ -948,21 +871,23 @@ class CubicleMpkBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+    cross(Image &img, int, int to, const GatePolicy &, const std::string &,
+          const char *, double workMult, const std::function<void()> *bodies,
+          std::size_t count) override
     {
         auto &m = img.machine();
-        // Two pkey_mprotect syscalls per transition (open + close the
-        // window); every other crossing touches a not-yet-mapped shared
-        // object and takes the trap-and-map fault.
-        m.consume(2 * m.timing.pkeyMprotect);
-        if (++callCount % 2 == 0)
-            m.consume(m.timing.trapAndMapFault);
-        m.bump("gate.cubicle");
-        img.noteCrossing(from, to);
-        DomainTransition dt(img, to, workMult);
-        body();
+        for (std::size_t i = 0; i < count; ++i) {
+            // Two pkey_mprotect syscalls per transition (open + close
+            // the window); every other crossing touches a
+            // not-yet-mapped shared object and takes the trap-and-map
+            // fault.
+            m.consume(2 * m.timing.pkeyMprotect);
+            if (++callCount % 2 == 0)
+                m.consume(m.timing.trapAndMapFault);
+            m.bump("gate.cubicle");
+            DomainTransition dt(img, to, workMult);
+            bodies[i]();
+        }
     }
 
   private:

@@ -2,16 +2,18 @@
  * @file
  * The isolation-backend API (paper 3.2).
  *
- * A backend supplies (1) gate implementations, (2) hooks into core
- * libraries (scheduler thread-creation/switch), (3) its memory-layout
- * recipe (how compartment regions are tagged), and (4) registration into
- * the toolchain. Adding a mechanism means implementing this interface —
+ * A backend supplies (1) its gate, one cross() entry point serving
+ * plain and batched crossings alike, (2) hooks into core libraries
+ * (scheduler thread-creation/switch), (3) its memory-layout recipe
+ * (how compartment regions are tagged), and (4) registration into the
+ * toolchain. Adding a mechanism means implementing this interface —
  * no redesign of the OS.
  */
 
 #ifndef FLEXOS_CORE_BACKEND_HH
 #define FLEXOS_CORE_BACKEND_HH
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -47,45 +49,26 @@ class IsolationBackend
     virtual void shutdown(Image &img) = 0;
 
     /**
-     * Execute body in compartment 'to' on behalf of the current thread
-     * running in compartment 'from' — the instantiated call gate.
-     * Charges the gate cost, performs the domain transition, and runs
-     * body under calleeWorkMult (the callee component's hardening tax).
-     * The resolved (from, to) GatePolicy selects the MPK flavour,
-     * caller-side entry validation, and whether the return path scrubs
-     * the register set (asymmetric policies like "EPT->MPK returns
-     * skip re-validation" drop the return-side scrub).
+     * The instantiated call gate: run `count` bodies in order in
+     * compartment 'to' on behalf of the current thread running in
+     * compartment 'from' — one for a plain gate, up to N for a
+     * `batch: N` chunk — under calleeWorkMult (the callee component's
+     * hardening tax). The resolved (from, to) GatePolicy selects the
+     * MPK flavour and whether the return path scrubs the register set
+     * (asymmetric policies like "EPT->MPK returns skip re-validation"
+     * drop the return-side scrub). Backends that can amortize pay one
+     * transition plus (count - 1) * batchSlot: MPK and CHERI one
+     * entry/return leg, EPT one ring slot and one doorbell; the
+     * baselines pay a full crossing per body. An exception from any
+     * body aborts the rest. Image::cross has already enforced the
+     * policy and counted the calls in the crossing ledger.
      */
-    virtual void crossCall(Image &img, int from, int to,
-                           const GatePolicy &policy,
-                           const std::string &calleeLib,
-                           const char *fnName, double calleeWorkMult,
-                           const std::function<void()> &body) = 0;
-
-    /**
-     * Vectored crossing: execute `count` bodies in compartment 'to'
-     * through ONE domain transition (`batch: N` boundaries). The
-     * default degrades to sequential crossCalls — correct for any
-     * backend, no amortization. Backends that can amortize override
-     * it: MPK and CHERI pay one entry/return leg plus a per-slot
-     * dispatch cost, EPT submits one ring slot and rings one doorbell
-     * for the whole vector. Bodies run in order; the policy's
-     * validate/scrub legs are charged once per transition, not per
-     * body, and an exception from any body aborts the rest of the
-     * batch.
-     */
-    virtual void
-    crossCallBatch(Image &img, int from, int to,
-                   const GatePolicy &policy,
-                   const std::string &calleeLib, const char *fnName,
-                   double calleeWorkMult,
-                   const std::function<void()> *bodies,
-                   std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i)
-            crossCall(img, from, to, policy, calleeLib, fnName,
-                      calleeWorkMult, bodies[i]);
-    }
+    virtual void cross(Image &img, int from, int to,
+                       const GatePolicy &policy,
+                       const std::string &calleeLib, const char *fnName,
+                       double calleeWorkMult,
+                       const std::function<void()> *bodies,
+                       std::size_t count) = 0;
 
     /**
      * Notification that the image's gate matrix changed through a

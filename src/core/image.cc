@@ -295,37 +295,65 @@ Image::gateBatch(const std::string &calleeLib, const char *fnName,
         return;
     }
     double mult = libMultiplier(calleeLib);
-    // Pending-swap barrier, mirroring gate(): park here so the policy
-    // reference below resolves against the post-swap matrix. Once the
-    // loop starts, the reference stays valid — a swap can only proceed
-    // while this fiber is suspended, which only happens inside a
-    // crossing, where the CrossingScope holds the swap off.
+    // Pending-swap barrier, mirroring gate(): park here so the chunks
+    // below resolve their policy against the post-swap matrix. Once
+    // the loop starts no swap can land between chunks — a swap can
+    // only proceed while this fiber is suspended, which only happens
+    // inside a crossing, where the CrossingScope holds the swap off.
     if (swapWaiters > 0 && sched.current())
         yieldForSwap();
+    for (std::size_t i = 0; i < bodies.size(); i += width)
+        cross(from, to, calleeLib, fnName, mult, &bodies[i],
+              std::min(width, bodies.size() - i));
+}
+
+void
+Image::cross(int from, int to, const std::string &calleeLib,
+             const char *fnName, double mult,
+             const std::function<void()> *bodies, std::size_t count)
+{
+    // Per-boundary dispatch: the (from, to) cell of the gate matrix
+    // decides how this crossing is enforced — mechanism, MPK flavour,
+    // entry validation, return-side scrubbing, and the least-privilege
+    // rules (deny, crossing-rate budget) checked before any gate cost
+    // is charged. Enforcement is per LOGICAL call: a chunk of k debits
+    // the token bucket k times (and a denied edge rejects the whole
+    // chunk before any work).
     const GatePolicy &pol = policyFor(from, to);
-    IsolationBackend &be = backendOf(pol.mech);
-    for (std::size_t i = 0; i < bodies.size(); i += width) {
-        std::size_t k = std::min(width, bodies.size() - i);
-        // Least-privilege enforcement is per LOGICAL call: a batch of
-        // k debits the token bucket k times (and a denied edge
-        // rejects the whole batch before any work).
-        for (std::size_t j = 0; j < k; ++j)
-            enforceBoundary(from, to, pol);
-        GatePolicy scratch;
-        const GatePolicy &eff = applyElision(from, to, pol, scratch);
-        checkEntry(calleeLib, fnName, from, to, pol);
-        noteCoreMigration(to);
-        CrossingScope xing(*this);
-        if (k == 1) {
-            be.crossCall(*this, from, to, eff, calleeLib, fnName, mult,
-                         bodies[i]);
-        } else {
-            mach.bump("gate.batched");
-            mach.bump("gate.batchedCalls", k);
-            be.crossCallBatch(*this, from, to, eff, calleeLib, fnName,
-                              mult, &bodies[i], k);
-        }
-        noteReturn(pol);
+    for (std::size_t i = 0; i < count; ++i)
+        enforceBoundary(from, to, pol);
+    GatePolicy scratch;
+    const GatePolicy &eff = applyElision(from, to, pol, scratch);
+    checkEntry(calleeLib, fnName, from, to, pol);
+    // SMP crossing accounting: when a compartment was last entered
+    // from a different core, its hot state (private stacks, heap
+    // metadata, gate scratch) migrates to the entering core's caches.
+    int coreNow = mach.activeCore();
+    int &lastCore = compLastCore[static_cast<std::size_t>(to)];
+    if (lastCore >= 0 && lastCore != coreNow) {
+        mach.consume(mach.timing.crossCoreMigration);
+        mach.bump("gate.crossCore");
+    }
+    lastCore = coreNow;
+    if (count > 1) {
+        mach.bump("gate.batched");
+        mach.bump("gate.batchedCalls", count);
+    }
+    // The ledger counts logical calls, all of a chunk's even when one
+    // of its bodies throws.
+    crossings[{from, to}] += count;
+    // `pol`/`eff` reference cells of the live matrix; the scope keeps
+    // swapGateMatrix from replacing it while the crossing (which may
+    // suspend inside an EPT ring RPC) is in flight.
+    CrossingScope xing(*this);
+    backendOf(pol.mech).cross(*this, from, to, eff, calleeLib, fnName,
+                              mult, bodies, count);
+    // Return-leg policy work: `validate_return` boundaries re-probe
+    // the caller's export table on the way back (the symmetric check
+    // to `validate`), charged only when the callee returned normally.
+    if (pol.validateReturn) {
+        mach.consume(mach.timing.entryValidate);
+        mach.bump("gate.validate.return");
     }
 }
 

@@ -240,32 +240,13 @@ class Image
         // is pending, so static images are untouched.
         if (swapWaiters > 0 && sched.current())
             yieldForSwap();
-        // Per-boundary dispatch: the (from, to) cell of the gate
-        // matrix decides how this crossing is enforced — mechanism,
-        // MPK flavour, entry validation, return-side scrubbing, and
-        // the least-privilege rules (deny, crossing-rate budget)
-        // checked before any gate cost is charged.
-        const GatePolicy &pol = policyFor(from, to);
-        enforceBoundary(from, to, pol);
-        GatePolicy scratch;
-        const GatePolicy &eff =
-            applyElision(from, to, pol, scratch);
-        checkEntry(calleeLib, fnName, from, to, pol);
-        noteCoreMigration(to);
-        IsolationBackend &be = backendOf(pol.mech);
-        // `pol`/`eff` reference cells of the live matrix; the scope
-        // keeps swapGateMatrix from replacing it while the crossing
-        // (which may suspend inside an EPT ring RPC) is in flight.
-        CrossingScope xing(*this);
         if constexpr (std::is_void_v<R>) {
-            be.crossCall(*this, from, to, eff, calleeLib, fnName, mult,
-                         [&] { fn(); });
-            noteReturn(pol);
+            const std::function<void()> body = [&] { fn(); };
+            cross(from, to, calleeLib, fnName, mult, &body, 1);
         } else {
             std::optional<R> result;
-            be.crossCall(*this, from, to, eff, calleeLib, fnName, mult,
-                         [&] { result.emplace(fn()); });
-            noteReturn(pol);
+            const std::function<void()> body = [&] { result.emplace(fn()); };
+            cross(from, to, calleeLib, fnName, mult, &body, 1);
             return std::move(*result);
         }
     }
@@ -277,7 +258,8 @@ class Image
      * doorbell, one MPK/CHERI entry/return leg) plus a per-slot cost,
      * while deny/rate enforcement is still debited per logical call.
      * `batch: 1` boundaries (and same-compartment calls) degrade to
-     * the plain sequential gate, vcycle-identical by construction.
+     * the plain sequential gate. Chunks and gate() share one crossing
+     * sequence, so each is vcycle-identical by construction.
      */
     void gateBatch(const std::string &calleeLib, const char *fnName,
                    const std::vector<std::function<void()>> &bodies);
@@ -416,44 +398,6 @@ class Image
      */
     std::map<std::pair<int, int>, BoundaryStat> boundaryStats() const;
 
-    void
-    noteCrossing(int from, int to)
-    {
-        ++crossings[{from, to}];
-    }
-
-    /**
-     * SMP crossing accounting: when a compartment was last entered
-     * from a different core, its hot state (private stacks, heap
-     * metadata, gate scratch) migrates to the entering core's caches —
-     * charged as `crossCoreMigration` and counted in `gate.crossCore`.
-     */
-    void
-    noteCoreMigration(int to)
-    {
-        int coreNow = mach.activeCore();
-        int &lastCore = compLastCore[static_cast<std::size_t>(to)];
-        if (lastCore >= 0 && lastCore != coreNow) {
-            mach.consume(mach.timing.crossCoreMigration);
-            mach.bump("gate.crossCore");
-        }
-        lastCore = coreNow;
-    }
-
-    /**
-     * Return-leg policy work: `validate_return` boundaries re-probe
-     * the caller's export table on the way back (the symmetric check
-     * to `validate`), charged only when the callee returned normally.
-     */
-    void
-    noteReturn(const GatePolicy &pol)
-    {
-        if (pol.validateReturn) {
-            mach.consume(mach.timing.entryValidate);
-            mach.bump("gate.validate.return");
-        }
-    }
-
     /** The resolved policy of a (from, to) boundary. */
     const GatePolicy &
     policyFor(int from, int to) const
@@ -532,6 +476,14 @@ class Image
     friend class Toolchain;
 
     int resolveCallee(const std::string &lib, int from) const;
+    /**
+     * The one crossing sequence behind gate() and gateBatch(): `count`
+     * calls from compartment `from` into `to` through one backend
+     * transition. The caller has already passed the swap barrier.
+     */
+    void cross(int from, int to, const std::string &calleeLib,
+               const char *fnName, double mult,
+               const std::function<void()> *bodies, std::size_t count);
     /**
      * Entry-point validation of one crossing: a gate aimed at a
      * non-exported symbol (a ROP-style jump into the middle of the
