@@ -125,16 +125,6 @@ policyLe(const GatePolicy &a, const GatePolicy &b)
            (!a.deny || b.deny) && rateLe(a, b);
 }
 
-bool
-deniesAnything(const GateMatrix &m)
-{
-    for (std::size_t f = 0; f < m.size(); ++f)
-        for (std::size_t t = 0; t < m.size(); ++t)
-            if (m.at(static_cast<int>(f), static_cast<int>(t)).deny)
-                return true;
-    return false;
-}
-
 } // namespace
 
 SafetyOrder
@@ -161,13 +151,6 @@ compareSafety(const ConfigPoint &a, const GateMatrix &ma,
         aLe = aLe && both == a.hardening[i];
         bLe = bLe && both == b.hardening[i];
     }
-
-    // Block ids only line up between identical partitions: across
-    // different ones, denied edges leave the points incomparable
-    // unless neither denies anything.
-    if (a.partition != b.partition &&
-        (deniesAnything(ma) || deniesAnything(mb)))
-        return SafetyOrder::Incomparable;
 
     // Every boundary, cell (block(i), block(j)) for every component
     // pair. The diagonal carries each component's own mechanism and

@@ -202,29 +202,32 @@ randomRules(Rng &rng, int nBlocks, bool withDeny)
 }
 
 /**
- * 100 random points sharing one pool of random rules, each taking a
- * random subset of it, so that many pairs compare. Without deny: a
- * random partition per point and rules over comp1 and wildcards (the
- * names every partition has). With deny: partition E, rules over all
- * three blocks.
+ * 100 random points, each over a random partition, sharing one pool of
+ * random rules over three blocks: a point takes a random subset of the
+ * rules naming only blocks it has, so that many pairs compare, across
+ * partitions too.
  */
 std::vector<ConfigPoint>
 randomSamples(Rng &rng, bool withDeny)
 {
     static const Mechanism mechs[] = {Mechanism::None, Mechanism::IntelMpk,
                                       Mechanism::VmEpt, Mechanism::Cheri};
-    std::vector<BoundaryRule> pool =
-        randomRules(rng, withDeny ? 3 : 1, withDeny);
+    std::vector<BoundaryRule> pool = randomRules(rng, 3, withDeny);
     std::vector<ConfigPoint> pts;
     for (int i = 0; i < 100; ++i) {
-        ConfigPoint p = wayfinder::basePoint(
-            withDeny ? std::vector<int>{0, 0, 1, 2} : randomPartition(rng));
+        ConfigPoint p = wayfinder::basePoint(randomPartition(rng));
         for (unsigned &h : p.hardening)
             h = rng.chance(1, 8) ? static_cast<unsigned>(rng.below(4)) : 0;
         for (Mechanism &m : p.blockMechanism)
             m = rng.chance(1, 8) ? mechs[rng.below(4)] : Mechanism::IntelMpk;
+        auto names = [&](const std::string &end) {
+            for (int b = 0; b < p.compartments(); ++b)
+                if (end == blockCompartment(b))
+                    return true;
+            return end == "*";
+        };
         for (const BoundaryRule &r : pool)
-            if (rng.chance(1, 2))
+            if (names(r.from) && names(r.to) && rng.chance(1, 2))
                 p.rules.push_back(r);
         p.cores = static_cast<int>(rng.range(1, 2));
         pts.push_back(std::move(p));
@@ -248,10 +251,7 @@ orderTable(const std::vector<ConfigPoint> &pts)
 
 /**
  * Property: reflexivity, antisymmetry and transitivity over random
- * samples. Two sample sets: random partitions without deny rules, and
- * one partition with deny rules — across different partitions a
- * denying point is incomparable by rule, which is not transitive
- * (A < E and E < E+deny, yet A ~ E+deny; see docs/exploring.md).
+ * samples, one set without deny rules and one with them.
  */
 TEST(CompareSafety, OrderAxiomsHoldOnRandomSamples)
 {
@@ -654,12 +654,29 @@ TEST(CompareSafety, DeniedEdgeSupersetIsSafer)
     EXPECT_EQ(compareSafety(two, one), SafetyOrder::Greater);
     EXPECT_EQ(compareSafety(one, other), SafetyOrder::Incomparable);
 
-    // Across different partitions block ids do not line up: the
-    // dimension only stays comparable when neither denies anything.
+    // Across different partitions deny compares per component pair:
+    // a coarser point denying edges the finer one leaves open is
+    // incomparable to it.
     ConfigPoint coarser = wayfinder::basePoint({0, 0, 1, 1});
     EXPECT_EQ(compareSafety(coarser, base), SafetyOrder::Less);
     coarser.rules = {denyRule(0, 1)};
     EXPECT_EQ(compareSafety(coarser, one), SafetyOrder::Incomparable);
+}
+
+TEST(CompareSafety, DenyOrdersTransitivelyAcrossPartitions)
+{
+    // Regression: the bare lwip split < the three-way split < the
+    // three-way split with a denied edge, so the ends compare too. An
+    // earlier rule made points over different partitions incomparable
+    // whenever either denied an edge, which broke this chain.
+    ConfigPoint lwipSplit = wayfinder::basePoint({0, 0, 0, 1});
+    ConfigPoint threeWay = wayfinder::basePoint({0, 0, 1, 2});
+    ConfigPoint denied = threeWay;
+    denied.rules = {denyRule(1, 2)};
+    EXPECT_EQ(compareSafety(lwipSplit, threeWay), SafetyOrder::Less);
+    EXPECT_EQ(compareSafety(threeWay, denied), SafetyOrder::Less);
+    EXPECT_EQ(compareSafety(lwipSplit, denied), SafetyOrder::Less);
+    EXPECT_EQ(compareSafety(denied, lwipSplit), SafetyOrder::Greater);
 }
 
 TEST(Wayfinder, LeastPrivilegeSpaceSkipsRequiredEdges)
