@@ -1,28 +1,26 @@
-# Freshness check for the generated config reference: run config_doc
-# and fail when its output differs from the committed
-# docs/config-reference.md. Invoked by the `config_doc_fresh` CTest
-# (and the CI docs job) as:
-#   cmake -DDOC_TOOL=<config_doc> -DREFERENCE=<docs/config-reference.md>
-#         -P cmake/CheckConfigDoc.cmake
+# Golden-output check: run a tool and fail when its stdout differs from
+# a committed file. Invoked by the `config_doc_fresh` CTest (the config
+# reference generated from the parser's key tables) and the
+# `fig11b_golden` CTest (fig11b's crossing-cost table) as:
+#   cmake -DTOOL=<executable> -DGOLDEN=<committed file>
+#         -DREGEN=<command regenerating it> -P cmake/CheckGolden.cmake
 
-execute_process(COMMAND ${DOC_TOOL}
+execute_process(COMMAND ${TOOL}
                 OUTPUT_VARIABLE generated
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "config_doc failed with exit code ${rc}")
+  message(FATAL_ERROR "${TOOL} failed with exit code ${rc}")
 endif()
 
-if(NOT EXISTS ${REFERENCE})
-  message(FATAL_ERROR
-          "${REFERENCE} does not exist; generate it with "
-          "`./build/config_doc > docs/config-reference.md`")
+if(NOT EXISTS ${GOLDEN})
+  message(FATAL_ERROR "${GOLDEN} does not exist; generate it with "
+                      "`${REGEN}`")
 endif()
 
-file(READ ${REFERENCE} committed)
+file(READ ${GOLDEN} committed)
 if(NOT generated STREQUAL committed)
   message(FATAL_ERROR
-          "docs/config-reference.md is stale: the parser's key tables "
-          "changed. Regenerate with "
-          "`./build/config_doc > docs/config-reference.md` and commit "
-          "the result.")
+          "${GOLDEN} is stale: the tool's output changed. Review the "
+          "difference, regenerate with `${REGEN}` and commit the "
+          "result.")
 endif()
