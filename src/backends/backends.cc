@@ -12,9 +12,6 @@
  * - CHERI: a sketch backend (paper 4.3) — CInvoke-style inline domain
  *   transitions with sentry-capability entry checks.
  * - LinuxPt / Sel4Ipc / CubicleMpk: baseline crossing-cost regimes.
- *
- * Each has one gate, cross(), for plain and batched crossings: MPK,
- * CHERI and EPT amortize a chunk, None and the baselines do not.
  */
 
 #include "core/backend.hh"
