@@ -6,8 +6,9 @@
  *
  * Inputs are either C++ sources (`.cc`, `.cpp`, `.hh`, `.hpp`, `.h`)
  * — every embedded raw-string config is audited, with the same
- * extraction and `lint-skip` rules as `tools/config_lint` — or plain
- * config files, audited as one config.
+ * extraction and `lint-skip` rules as `tools/config_lint`, and its
+ * report keyed `<file>#<hash of the config text>` — or plain config
+ * files, audited as one config and keyed by the file name.
  *
  * Usage:
  *   boundary_audit [--json] [--src-root DIR] [--no-escape]
@@ -25,6 +26,7 @@
  * parse/validate or any error-severity finding fires, 0 otherwise.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -52,6 +54,23 @@ isCppSource(const std::string &path)
             return true;
     }
     return false;
+}
+
+/**
+ * Section key of an embedded config: the file plus the FNV-1a hash of
+ * the config text. Unlike the literal's line number, the key does not
+ * move when code above the config is added or removed, so the golden
+ * report only changes where a config or its findings do.
+ */
+std::string
+configKey(const std::string &file, const std::string &text)
+{
+    std::uint32_t h = 0x811c9dc5u;
+    for (unsigned char ch : text)
+        h = (h ^ ch) * 0x01000193u;
+    char hex[9];
+    std::snprintf(hex, sizeof hex, "%08x", static_cast<unsigned>(h));
+    return file + "#" + hex;
 }
 
 int
@@ -100,7 +119,9 @@ main(int argc, char **argv)
     std::vector<analysis::AuditReport> reports;
     int failed = 0;
 
-    auto audit = [&](const std::string &label, const std::string &text) {
+    // `where` locates a config for diagnostics; `label` keys its report.
+    auto audit = [&](const std::string &label, const std::string &where,
+                     const std::string &text) {
         try {
             SafetyConfig cfg = SafetyConfig::parse(text);
             tc.validate(cfg);
@@ -110,7 +131,7 @@ main(int argc, char **argv)
         } catch (const std::exception &e) {
             ++failed;
             std::fprintf(stderr, "boundary-audit: %s: %s\n",
-                         label.c_str(), e.what());
+                         where.c_str(), e.what());
         }
     };
 
@@ -126,9 +147,10 @@ main(int argc, char **argv)
         if (isCppSource(file)) {
             for (const analysis::ConfigBlock &b :
                  analysis::extractEmbeddedConfigs(ss.str()))
-                audit(file + ":" + std::to_string(b.line), b.text);
+                audit(configKey(file, b.text),
+                      file + ":" + std::to_string(b.line), b.text);
         } else {
-            audit(file, ss.str());
+            audit(file, file, ss.str());
         }
     }
 
