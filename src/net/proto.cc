@@ -1,16 +1,38 @@
 #include "net/proto.hh"
 
+#include <bit>
+#include <cstring>
+
 namespace flexos {
 
 std::uint16_t
 inetChecksum(const std::uint8_t *data, std::size_t len, std::uint32_t seed)
 {
-    std::uint32_t sum = seed;
+    // Word at a time (RFC 1071 section 2): the one's-complement sum of
+    // 16-bit words is independent of byte order up to one final swap,
+    // and a 32-bit lane is congruent to the sum of its two 16-bit
+    // words mod 0xffff. So sum both 32-bit lanes of native 8-byte
+    // loads into 64 bits, fold, and swap once into network order.
+    auto lanes = [](std::uint64_t w) { return (w & 0xffffffffu) + (w >> 32); };
+    std::uint64_t sum = 0;
     std::size_t i = 0;
-    for (; i + 1 < len; i += 2)
-        sum += static_cast<std::uint32_t>(data[i] << 8 | data[i + 1]);
-    if (i < len)
-        sum += static_cast<std::uint32_t>(data[i] << 8);
+    for (; i + 8 <= len; i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, data + i, sizeof w);
+        sum += lanes(w);
+    }
+    if (i < len) {
+        // Zero-padded tail: an odd last byte lands in the high half of
+        // its network-order word, exactly as the padding rule says.
+        std::uint64_t w = 0;
+        std::memcpy(&w, data + i, len - i);
+        sum += lanes(w);
+    }
+    while (sum >> 16)
+        sum = (sum & 0xffff) + (sum >> 16);
+    if constexpr (std::endian::native == std::endian::little)
+        sum = ((sum & 0xff) << 8) | (sum >> 8);
+    sum += seed;
     while (sum >> 16)
         sum = (sum & 0xffff) + (sum >> 16);
     return static_cast<std::uint16_t>(~sum);

@@ -33,6 +33,50 @@ TEST(Proto, ChecksumOddLength)
     EXPECT_EQ(inetChecksum(data, 1), 0x54ff);
 }
 
+/** The byte-at-a-time RFC 1071 loop: the reference inetChecksum's
+ *  word-at-a-time sum must agree with. */
+std::uint16_t
+byteLoopChecksum(const std::uint8_t *data, std::size_t len,
+                 std::uint32_t seed)
+{
+    std::uint32_t sum = seed;
+    std::size_t i = 0;
+    for (; i + 1 < len; i += 2)
+        sum += static_cast<std::uint32_t>(data[i] << 8 | data[i + 1]);
+    if (i < len)
+        sum += static_cast<std::uint32_t>(data[i] << 8);
+    while (sum >> 16)
+        sum = (sum & 0xffff) + (sum >> 16);
+    return static_cast<std::uint16_t>(~sum);
+}
+
+TEST(Proto, ChecksumMatchesByteLoopOnEveryLengthAndAlignment)
+{
+    // Exhaustive over lengths 0..2048 and start alignments 0..7, on
+    // random, all-0xff (maximal carries) and all-zero contents, with
+    // seeds covering zero, one fold and a TCP pseudo-header-sized sum.
+    constexpr std::size_t maxLen = 2048;
+    Rng rng(1071);
+    std::vector<std::uint8_t> random(maxLen + 8), ones(maxLen + 8, 0xff),
+        zeros(maxLen + 8, 0);
+    for (auto &b : random)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    const std::uint32_t seeds[] = {0, 1, 0xffff, 0x3fffa};
+    for (const auto *buf : {&random, &ones, &zeros}) {
+        for (std::size_t align = 0; align < 8; ++align) {
+            const std::uint8_t *p = buf->data() + align;
+            for (std::size_t len = 0; len <= maxLen; ++len) {
+                for (std::uint32_t seed : seeds) {
+                    ASSERT_EQ(inetChecksum(p, len, seed),
+                              byteLoopChecksum(p, len, seed))
+                        << "len " << len << " align " << align << " seed "
+                        << seed;
+                }
+            }
+        }
+    }
+}
+
 TEST(Proto, Ip4RoundTrip)
 {
     std::uint8_t wire[Ip4Header::wireSize];
