@@ -5,8 +5,6 @@
 
 namespace flexos::fiber {
 
-#if defined(__x86_64__)
-
 extern "C" void flexos_fiber_switch(void **from, void *to);
 
 // Frame layout, from the saved stack pointer upwards: MXCSR (4 bytes)
@@ -85,25 +83,5 @@ swap(Context &from, Context &to)
 {
     flexos_fiber_switch(&from, to);
 }
-
-#else
-
-void
-init(Context &ctx, char *base, std::size_t size, void (*entry)())
-{
-    getcontext(&ctx);
-    ctx.uc_stack.ss_sp = base;
-    ctx.uc_stack.ss_size = size;
-    ctx.uc_link = nullptr;
-    makecontext(&ctx, entry, 0);
-}
-
-void
-swap(Context &from, Context &to)
-{
-    swapcontext(&from, &to);
-}
-
-#endif
 
 } // namespace flexos::fiber

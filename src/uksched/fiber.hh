@@ -10,7 +10,7 @@
  * signal mask is not part of a context: the simulator installs no
  * signal handlers and never changes the mask, so the rt_sigprocmask
  * syscall glibc's swapcontext makes on every switch buys nothing.
- * Other architectures fall back to ucontext.
+ * The switch is x86-64 assembly; other architectures do not build.
  */
 
 #ifndef FLEXOS_UKSCHED_FIBER_HH
@@ -19,17 +19,13 @@
 #include <cstddef>
 
 #if !defined(__x86_64__)
-#include <ucontext.h>
+#error "uksched's fiber switch is implemented for x86-64 only"
 #endif
 
 namespace flexos::fiber {
 
-#if defined(__x86_64__)
 /** A suspended context: its saved stack pointer. */
 using Context = void *;
-#else
-using Context = ucontext_t;
-#endif
 
 /**
  * Prepare ctx so that the first switch into it runs entry() on the
