@@ -160,7 +160,9 @@ Deployment::start()
         std::function<void()> pollBody;
         if (rxBatch > 1 || rxAdaptive) {
             int from = rxFrom, to = rxTo;
-            pollBody = [this, q, from, to] {
+            GateSite rxBurst = img->entry("lwip", "rx_burst");
+            GateSite timerPoll = img->entry("lwip", "timer_poll");
+            pollBody = [this, q, from, to, rxBurst, timerPoll] {
                 std::vector<std::function<void()>> bodies;
                 std::vector<NetBuf> burst;
                 while (!stopPollers) {
@@ -178,13 +180,13 @@ Deployment::start()
                             bodies.push_back([this, &f] {
                                 serverNet->handleRxFrame(std::move(f));
                             });
-                        img->gateBatch("lwip", "rx_burst", bodies);
+                        img->gateBatch(rxBurst, bodies);
                     }
                     // The timer wheel stays with queue 0's poller;
                     // the due-ness peek is driver-side so idle loops
                     // never pay a crossing just to find nothing due.
                     if (q == 0 && serverNet->timersDue()) {
-                        img->gate("lwip", "timer_poll", [this] {
+                        img->gate(timerPoll, [this] {
                             serverNet->pollTimers();
                         });
                         worked = true;

@@ -6,14 +6,40 @@
 namespace flexos {
 
 LibcApi::LibcApi(Image &image, NetStack *netstack, Vfs *filesystem)
-    : img(image), net(netstack), vfs(filesystem)
+    : img(image), net(netstack), vfs(filesystem),
+      newlibSocket(image.entry("newlib", "socket_call")),
+      newlibFs(image.entry("newlib", "fs_call")),
+      newlibTime(image.entry("newlib", "time_call")),
+      lwipListen(image.entry("lwip", "listen")),
+      lwipAccept(image.entry("lwip", "accept")),
+      lwipConnect(image.entry("lwip", "connect")),
+      lwipRecv(image.entry("lwip", "recv")),
+      lwipSend(image.entry("lwip", "send")),
+      lwipClose(image.entry("lwip", "close")),
+      vfsOpen(image.entry("vfscore", "open")),
+      vfsClose(image.entry("vfscore", "close")),
+      vfsRead(image.entry("vfscore", "read")),
+      vfsWrite(image.entry("vfscore", "write")),
+      vfsPread(image.entry("vfscore", "pread")),
+      vfsPwrite(image.entry("vfscore", "pwrite")),
+      vfsLseek(image.entry("vfscore", "lseek")),
+      vfsFsync(image.entry("vfscore", "fsync")),
+      vfsFtruncate(image.entry("vfscore", "ftruncate")),
+      vfsUnlink(image.entry("vfscore", "unlink")),
+      vfsStat(image.entry("vfscore", "stat")),
+      clockGettime(image.entry("uktime", "clock_gettime")),
+      schedJoin(image.entry("uksched", "thread_join")),
+      schedSleep(image.entry("uksched", "sleep")),
+      schedYield(image.entry("uksched", "yield")),
+      schedLock(image.entry("uksched", "mutex_lock")),
+      schedUnlock(image.entry("uksched", "mutex_unlock"))
 {
 }
 
 void
-LibcApi::schedTouch(const char *what)
+LibcApi::schedTouch(const GateSite &site)
 {
-    img.gate("uksched", what, [&] {
+    img.gate(site, [&] {
         consumeCycles(schedWork);
     });
 }
@@ -22,22 +48,22 @@ TcpSocket *
 LibcApi::listen(std::uint16_t port)
 {
     panic_if(!net, "no network stack in this image");
-    return img.gate("newlib", "socket_call", [&] {
+    return img.gate(newlibSocket, [&] {
         consumeCycles(newlibWork);
-        return img.gate("lwip", "listen", [&] { return net->listen(port); });
+        return img.gate(lwipListen, [&] { return net->listen(port); });
     });
 }
 
 TcpSocket *
 LibcApi::accept(TcpSocket *listener)
 {
-    return img.gate("newlib", "socket_call", [&] {
+    return img.gate(newlibSocket, [&] {
         consumeCycles(newlibWork);
-        return img.gate("lwip", "accept", [&] {
+        return img.gate(lwipAccept, [&] {
             if (listener->pendingAccepts() == 0)
-                schedTouch("thread_join"); // block until a SYN arrives
+                schedTouch(schedJoin); // block until a SYN arrives
             TcpSocket *s = listener->accept();
-            schedTouch("yield"); // wakeup path
+            schedTouch(schedYield); // wakeup path
             return s;
         });
     });
@@ -46,9 +72,9 @@ LibcApi::accept(TcpSocket *listener)
 TcpSocket *
 LibcApi::connect(std::uint32_t ip, std::uint16_t port)
 {
-    return img.gate("newlib", "socket_call", [&] {
+    return img.gate(newlibSocket, [&] {
         consumeCycles(newlibWork);
-        return img.gate("lwip", "connect",
+        return img.gate(lwipConnect,
                         [&] { return net->connect(ip, port); });
     });
 }
@@ -56,7 +82,7 @@ LibcApi::connect(std::uint32_t ip, std::uint16_t port)
 long
 LibcApi::recv(TcpSocket *s, void *buf, std::size_t n)
 {
-    return img.gate("newlib", "socket_call", [&] {
+    return img.gate(newlibSocket, [&] {
         consumeCycles(newlibWork);
         // Two stack variables cross the gate by reference (the length
         // and the status word) — `__shared` annotations in the port,
@@ -71,12 +97,12 @@ LibcApi::recv(TcpSocket *s, void *buf, std::size_t n)
         // not talk to the scheduler on this hot path — paper 6.1, the
         // "isolation for free" effect when grouping lwip with uksched.)
         if (s->available() == 0 && !s->peerHasClosed()) {
-            schedTouch("sleep"); // enqueue on the wait queue
-            schedTouch("yield"); // dispatch away
+            schedTouch(schedSleep); // enqueue on the wait queue
+            schedTouch(schedYield); // dispatch away
         }
-        long got = img.gate("lwip", "recv",
+        long got = img.gate(lwipRecv,
                             [&] { return s->recv(buf, n); });
-        schedTouch("yield"); // wakeup bookkeeping
+        schedTouch(schedYield); // wakeup bookkeeping
         return got;
     });
 }
@@ -84,12 +110,12 @@ LibcApi::recv(TcpSocket *s, void *buf, std::size_t n)
 long
 LibcApi::send(TcpSocket *s, const void *buf, std::size_t n)
 {
-    return img.gate("newlib", "socket_call", [&] {
+    return img.gate(newlibSocket, [&] {
         consumeCycles(newlibWork);
         DssFrame frame(img);
         long *sharedLen = frame.var<long>();
         *frame.shadow(sharedLen) = static_cast<long>(n);
-        return img.gate("lwip", "send",
+        return img.gate(lwipSend,
                         [&] { return s->send(buf, n); });
     });
 }
@@ -97,9 +123,9 @@ LibcApi::send(TcpSocket *s, const void *buf, std::size_t n)
 void
 LibcApi::closeSocket(TcpSocket *s)
 {
-    img.gate("newlib", "socket_call", [&] {
+    img.gate(newlibSocket, [&] {
         consumeCycles(newlibWork);
-        img.gate("lwip", "close", [&] { s->close(); });
+        img.gate(lwipClose, [&] { s->close(); });
     });
 }
 
@@ -107,9 +133,9 @@ int
 LibcApi::open(const std::string &path, unsigned flags)
 {
     panic_if(!vfs, "no filesystem in this image");
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "open",
+        return img.gate(vfsOpen,
                         [&] { return vfs->open(path, flags); });
     });
 }
@@ -117,18 +143,18 @@ LibcApi::open(const std::string &path, unsigned flags)
 int
 LibcApi::close(int fd)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "close", [&] { return vfs->close(fd); });
+        return img.gate(vfsClose, [&] { return vfs->close(fd); });
     });
 }
 
 long
 LibcApi::read(int fd, void *buf, std::size_t n)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "read",
+        return img.gate(vfsRead,
                         [&] { return vfs->read(fd, buf, n); });
     });
 }
@@ -136,9 +162,9 @@ LibcApi::read(int fd, void *buf, std::size_t n)
 long
 LibcApi::write(int fd, const void *buf, std::size_t n)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "write",
+        return img.gate(vfsWrite,
                         [&] { return vfs->write(fd, buf, n); });
     });
 }
@@ -146,9 +172,9 @@ LibcApi::write(int fd, const void *buf, std::size_t n)
 long
 LibcApi::pread(int fd, void *buf, std::size_t n, std::uint64_t off)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "pread",
+        return img.gate(vfsPread,
                         [&] { return vfs->pread(fd, buf, n, off); });
     });
 }
@@ -157,9 +183,9 @@ long
 LibcApi::pwrite(int fd, const void *buf, std::size_t n,
                 std::uint64_t off)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "pwrite",
+        return img.gate(vfsPwrite,
                         [&] { return vfs->pwrite(fd, buf, n, off); });
     });
 }
@@ -167,9 +193,9 @@ LibcApi::pwrite(int fd, const void *buf, std::size_t n,
 long
 LibcApi::lseek(int fd, long off, SeekWhence whence)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "lseek",
+        return img.gate(vfsLseek,
                         [&] { return vfs->lseek(fd, off, whence); });
     });
 }
@@ -177,18 +203,18 @@ LibcApi::lseek(int fd, long off, SeekWhence whence)
 int
 LibcApi::fsync(int fd)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "fsync", [&] { return vfs->fsync(fd); });
+        return img.gate(vfsFsync, [&] { return vfs->fsync(fd); });
     });
 }
 
 int
 LibcApi::ftruncate(int fd, std::uint64_t size)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "ftruncate",
+        return img.gate(vfsFtruncate,
                         [&] { return vfs->ftruncate(fd, size); });
     });
 }
@@ -196,9 +222,9 @@ LibcApi::ftruncate(int fd, std::uint64_t size)
 int
 LibcApi::unlink(const std::string &path)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "unlink",
+        return img.gate(vfsUnlink,
                         [&] { return vfs->unlink(path); });
     });
 }
@@ -206,9 +232,9 @@ LibcApi::unlink(const std::string &path)
 int
 LibcApi::stat(const std::string &path, VfsStat &out)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(newlibFs, [&] {
         consumeCycles(newlibWork);
-        return img.gate("vfscore", "stat",
+        return img.gate(vfsStat,
                         [&] { return vfs->stat(path, out); });
     });
 }
@@ -216,9 +242,9 @@ LibcApi::stat(const std::string &path, VfsStat &out)
 std::uint64_t
 LibcApi::clockNs()
 {
-    return img.gate("newlib", "time_call", [&] {
+    return img.gate(newlibTime, [&] {
         consumeCycles(newlibWork / 3);
-        return img.gate("uktime", "clock_gettime", [&] {
+        return img.gate(clockGettime, [&] {
             consumeCycles(20); // clock read + conversion
             return img.machine().nanoseconds();
         });
@@ -228,19 +254,19 @@ LibcApi::clockNs()
 void
 LibcApi::yield()
 {
-    schedTouch("yield");
+    schedTouch(schedYield);
 }
 
 void
 LibcApi::lock()
 {
-    schedTouch("mutex_lock");
+    schedTouch(schedLock);
 }
 
 void
 LibcApi::unlock()
 {
-    schedTouch("mutex_unlock");
+    schedTouch(schedUnlock);
 }
 
 void *

@@ -88,11 +88,21 @@ class LibcApi
 
   private:
     /** One scheduler interaction (block or wakeup) through a gate. */
-    void schedTouch(const char *what);
+    void schedTouch(const GateSite &site);
 
     Image &img;
     NetStack *net;
     Vfs *vfs;
+
+    /** @name Gate sites, resolved once against the image. @{ */
+    GateSite newlibSocket, newlibFs, newlibTime;
+    GateSite lwipListen, lwipAccept, lwipConnect, lwipRecv, lwipSend,
+        lwipClose;
+    GateSite vfsOpen, vfsClose, vfsRead, vfsWrite, vfsPread, vfsPwrite,
+        vfsLseek, vfsFsync, vfsFtruncate, vfsUnlink, vfsStat;
+    GateSite clockGettime;
+    GateSite schedJoin, schedSleep, schedYield, schedLock, schedUnlock;
+    /** @} */
 
     /** Modelled per-call work inside newlib itself (arg shuffling,
      *  errno handling, small copies). */

@@ -149,16 +149,15 @@ class NoneBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    cross(Image &img, int, int to, const GatePolicy &, const std::string &,
-          const char *, double workMult, const std::function<void()> *bodies,
-          std::size_t count) override
+    cross(Image &img, int, int to, const GatePolicy &, const GateSite &site,
+          const std::function<void()> *bodies, std::size_t count) override
     {
         // No isolation: the "gate" is the function call itself.
         auto &m = img.machine();
         for (std::size_t i = 0; i < count; ++i) {
             m.consume(m.timing.functionCall);
-            m.bump("gate.none");
-            DomainTransition dt(img, to, workMult);
+            m.bump(Counter::GateNone);
+            DomainTransition dt(img, to, site.mult);
             bodies[i]();
         }
     }
@@ -195,8 +194,8 @@ class MpkBackend : public IsolationBackend
 
     void
     cross(Image &img, int, int to, const GatePolicy &policy,
-          const std::string &, const char *, double workMult,
-          const std::function<void()> *bodies, std::size_t count) override
+          const GateSite &site, const std::function<void()> *bodies,
+          std::size_t count) override
     {
         auto &m = img.machine();
         Cycles returnCost = 0;
@@ -207,7 +206,7 @@ class MpkBackend : public IsolationBackend
             // the second wrpkru + return is charged on the way back.
             m.consume(m.timing.mpkLightGate - m.timing.mpkLightReturn);
             returnCost = m.timing.mpkLightReturn;
-            m.bump("gate.mpk.light");
+            m.bump(Counter::GateMpkLight);
         } else {
             // HODOR-style full gate: save+zero the register set, switch
             // thread permissions, switch to the compartment's stack via
@@ -220,9 +219,9 @@ class MpkBackend : public IsolationBackend
             if (!policy.scrubReturn) {
                 returnCost -=
                     std::min(returnCost, m.timing.registerSaveZero);
-                m.bump("gate.mpk.dss.noscrub");
+                m.bump(Counter::GateMpkDssNoscrub);
             }
-            m.bump("gate.mpk.dss");
+            m.bump(Counter::GateMpkDss);
             // The entry-side register save/zero: the callee starts
             // from a clean scratch file (the light gate shares it).
             m.scrubScratch();
@@ -245,7 +244,7 @@ class MpkBackend : public IsolationBackend
         ReturnCharge rc(m, returnCost,
                         policy.flavor != MpkGateFlavor::Light &&
                             policy.scrubReturn);
-        DomainTransition dt(img, to, workMult);
+        DomainTransition dt(img, to, site.mult);
         for (std::size_t i = 0; i < count; ++i)
             bodies[i]();
     }
@@ -339,7 +338,7 @@ class EptBackend : public IsolationBackend
             }
         }
         if (cancels)
-            img.machine().bump("gate.ept.shutdownCancels", cancels);
+            img.machine().bump(Counter::GateEptShutdownCancels, cancels);
         // RPCs still queued in a ring (all servers were busy or
         // cancelled) would leave their callers blocked on doneWait
         // forever: fail each one and wake its caller before the rings
@@ -360,15 +359,14 @@ class EptBackend : public IsolationBackend
             }
         }
         if (drained)
-            img.machine().bump("gate.ept.shutdownDrained", drained);
+            img.machine().bump(Counter::GateEptShutdownDrained, drained);
         serverThreads.clear();
         vms.clear();
     }
 
     void
     cross(Image &img, int, int to, const GatePolicy &policy,
-          const std::string &calleeLib, const char *fnName,
-          double workMult, const std::function<void()> *bodies,
+          const GateSite &site, const std::function<void()> *bodies,
           std::size_t count) override
     {
         auto &m = img.machine();
@@ -411,23 +409,24 @@ class EptBackend : public IsolationBackend
                          m.timing.batchSlot;
         if (coalesced) {
             entryCost -= std::min(entryCost, m.timing.eptDoorbell);
-            m.bump("gate.coalesced");
+            m.bump(Counter::GateCoalesced);
         }
         m.consume(entryCost);
         Cycles returnCost = m.timing.eptReturn;
         if (!policy.scrubReturn) {
             returnCost -= std::min(returnCost, m.timing.registerSaveZero);
-            m.bump("gate.ept.noscrub");
+            m.bump(Counter::GateEptNoscrub);
         }
-        m.bump("gate.ept");
+        m.bump(Counter::GateEpt);
         ReturnCharge rc(m, returnCost, policy.scrubReturn);
 
         Rpc rpc;
         rpc.bodies = bodies;
         rpc.count = count;
-        rpc.calleeLib = &calleeLib;
-        rpc.fnName = fnName;
-        rpc.workMult = workMult;
+        rpc.calleeLib = &site.lib;
+        rpc.fnName = site.fn;
+        rpc.entryValid = site.entryValid;
+        rpc.workMult = site.mult;
         rpc.stackSharing = policy.stackSharing;
         WaitQueue doneWait(sched);
         rpc.doneWait = &doneWait;
@@ -439,9 +438,9 @@ class EptBackend : public IsolationBackend
         // survives reboots, so it only ratchets upward.
         if (sh.ring.size() > sh.ringHighWater) {
             sh.ringHighWater = sh.ring.size();
-            std::uint64_t cur = m.counter("gate.ept.ringDepth");
+            std::uint64_t cur = m.counter(Counter::GateEptRingDepth);
             if (sh.ringHighWater > cur)
-                m.bump("gate.ept.ringDepth", sh.ringHighWater - cur);
+                m.bump(Counter::GateEptRingDepth, sh.ringHighWater - cur);
         }
         // Elastic growth: if every server in the shard is busy
         // (running or blocked inside an RPC body) and requests are
@@ -454,7 +453,7 @@ class EptBackend : public IsolationBackend
             spawnServer(img, static_cast<std::size_t>(to),
                         static_cast<std::size_t>(shard - shards.data()),
                         /*elastic=*/true);
-            m.bump("gate.ept.elasticSpawns");
+            m.bump(Counter::GateEptElasticSpawns);
         }
         if (!coalesced) {
             sh.serverIdle->wakeOne();
@@ -494,10 +493,11 @@ class EptBackend : public IsolationBackend
         rpc.count = 1;
         rpc.calleeLib = &calleeLib;
         rpc.fnName = fnName;
+        rpc.entryValid = img.registry().isEntryPoint(calleeLib, fnName);
         WaitQueue doneWait(sched);
         rpc.doneWait = &doneWait;
         sh->ring.push_back(&rpc);
-        m.bump("gate.ept.forgedRpcs");
+        m.bump(Counter::GateEptForgedRpcs);
         sh->serverIdle->wakeOne();
         sh->lastDoorbell = m.cycles();
         while (!rpc.done)
@@ -507,7 +507,7 @@ class EptBackend : public IsolationBackend
         // not an exception.
         if (executed)
             return ForgedRpcOutcome::Executed;
-        m.bump("gate.ept.forgedRejected");
+        m.bump(Counter::GateEptForgedRejected);
         return ForgedRpcOutcome::Rejected;
     }
 
@@ -520,7 +520,7 @@ class EptBackend : public IsolationBackend
         // A replayed interrupt with no slot behind it: the woken
         // server observes an empty ring and re-idles (counted so the
         // scorecard can assert the wake was absorbed, not serviced).
-        img.machine().bump("gate.ept.spuriousDoorbells");
+        img.machine().bump(Counter::GateEptSpuriousDoorbells);
         sh->serverIdle->wakeOne();
         return true;
     }
@@ -559,7 +559,7 @@ class EptBackend : public IsolationBackend
                 }
             }
             if (woken)
-                m.bump("gate.ept.policyResizes", woken);
+                m.bump(Counter::GateEptPolicyResizes, woken);
         }
     }
 
@@ -572,6 +572,9 @@ class EptBackend : public IsolationBackend
         std::size_t count = 1;
         const std::string *calleeLib = nullptr;
         const char *fnName = nullptr;
+        /** fnName is one of calleeLib's entry points (resolved when
+         *  the slot was written). */
+        bool entryValid = false;
         double workMult = 1.0;
         /** The crossing boundary's stack-sharing policy: governs the
          *  layout of the server thread's stack in the VM. */
@@ -681,7 +684,7 @@ class EptBackend : public IsolationBackend
                         if (static_cast<int>(pool.size()) <=
                             img.compartmentAt(vmId).spec.servers)
                             sh.fastRetire = false;
-                        m.bump("gate.ept.elasticRetires");
+                        m.bump(Counter::GateEptElasticRetires);
                         return;
                     }
                 } else {
@@ -694,9 +697,9 @@ class EptBackend : public IsolationBackend
 
             // The RPC server checks the function is a legal API entry
             // point before executing it (paper 4.2). Image::checkEntry
-            // validated against the registry; re-validate defensively.
-            if (!img.registry().isEntryPoint(*rpc->calleeLib,
-                                             rpc->fnName)) {
+            // validated the gate's site; re-validate defensively (a
+            // forged slot never passed the caller-side check).
+            if (!rpc->entryValid) {
                 rpc->error = std::make_exception_ptr(CfiViolation(
                     std::string("EPT RPC to illegal entry point ") +
                     *rpc->calleeLib + "." + rpc->fnName));
@@ -756,8 +759,8 @@ class CheriBackend : public IsolationBackend
 
     void
     cross(Image &img, int, int to, const GatePolicy &policy,
-          const std::string &, const char *, double workMult,
-          const std::function<void()> *bodies, std::size_t count) override
+          const GateSite &site, const std::function<void()> *bodies,
+          std::size_t count) override
     {
         auto &m = img.machine();
         // Capability + register clear dominates; the return-side clear
@@ -769,7 +772,7 @@ class CheriBackend : public IsolationBackend
         Cycles returnCost = m.timing.mpkDssReturn;
         if (!policy.scrubReturn)
             returnCost -= std::min(returnCost, m.timing.registerSaveZero);
-        m.bump("gate.cheri");
+        m.bump(Counter::GateCheri);
         m.scrubScratch();
         // One CInvoke entry and one return-side clear for a whole
         // batched chunk, each extra call paying only the slot-dispatch
@@ -783,7 +786,7 @@ class CheriBackend : public IsolationBackend
         if (t)
             img.simStackFor(t->id(), to, policy.stackSharing);
         ReturnCharge rc(m, returnCost, policy.scrubReturn);
-        DomainTransition dt(img, to, workMult);
+        DomainTransition dt(img, to, site.mult);
         for (std::size_t i = 0; i < count; ++i)
             bodies[i]();
     }
@@ -802,19 +805,18 @@ class LinuxPtBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    cross(Image &img, int, int to, const GatePolicy &, const std::string &,
-          const char *, double workMult, const std::function<void()> *bodies,
-          std::size_t count) override
+    cross(Image &img, int, int to, const GatePolicy &, const GateSite &site,
+          const std::function<void()> *bodies, std::size_t count) override
     {
         auto &m = img.machine();
         for (std::size_t i = 0; i < count; ++i) {
             m.consume(kpti ? m.timing.syscallKpti
                            : m.timing.syscallNoKpti);
-            m.bump("gate.syscall");
+            m.bump(Counter::GateSyscall);
             // The kernel return path sanitizes the scratch registers,
             // as on a real syscall boundary.
             ReturnCharge rc(m, 0, /*scrub=*/true);
-            DomainTransition dt(img, to, workMult);
+            DomainTransition dt(img, to, site.mult);
             bodies[i]();
         }
     }
@@ -835,18 +837,17 @@ class Sel4IpcBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    cross(Image &img, int, int to, const GatePolicy &, const std::string &,
-          const char *, double workMult, const std::function<void()> *bodies,
-          std::size_t count) override
+    cross(Image &img, int, int to, const GatePolicy &, const GateSite &site,
+          const std::function<void()> *bodies, std::size_t count) override
     {
         auto &m = img.machine();
         for (std::size_t i = 0; i < count; ++i) {
             m.consume(m.timing.sel4Ipc);
-            m.bump("gate.sel4ipc");
+            m.bump(Counter::GateSel4ipc);
             // IPC replies carry only the message registers; everything
             // else comes back zeroed.
             ReturnCharge rc(m, 0, /*scrub=*/true);
-            DomainTransition dt(img, to, workMult);
+            DomainTransition dt(img, to, site.mult);
             bodies[i]();
         }
     }
@@ -868,9 +869,8 @@ class CubicleMpkBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    cross(Image &img, int, int to, const GatePolicy &, const std::string &,
-          const char *, double workMult, const std::function<void()> *bodies,
-          std::size_t count) override
+    cross(Image &img, int, int to, const GatePolicy &, const GateSite &site,
+          const std::function<void()> *bodies, std::size_t count) override
     {
         auto &m = img.machine();
         for (std::size_t i = 0; i < count; ++i) {
@@ -881,8 +881,8 @@ class CubicleMpkBackend : public IsolationBackend
             m.consume(2 * m.timing.pkeyMprotect);
             if (++callCount % 2 == 0)
                 m.consume(m.timing.trapAndMapFault);
-            m.bump("gate.cubicle");
-            DomainTransition dt(img, to, workMult);
+            m.bump(Counter::GateCubicle);
+            DomainTransition dt(img, to, site.mult);
             bodies[i]();
         }
     }

@@ -24,6 +24,7 @@
 namespace flexos {
 
 class Image;
+struct GateSite;
 
 /**
  * One isolation mechanism's implementation.
@@ -52,11 +53,12 @@ class IsolationBackend
      * The instantiated call gate: run `count` bodies in order in
      * compartment 'to' on behalf of the current thread running in
      * compartment 'from' — one for a plain gate, up to N for a
-     * `batch: N` chunk — under calleeWorkMult (the callee component's
-     * hardening tax). The resolved (from, to) GatePolicy selects the
-     * MPK flavour and whether the return path scrubs the register set
-     * (asymmetric policies like "EPT->MPK returns skip re-validation"
-     * drop the return-side scrub). Backends that can amortize pay one
+     * `batch: N` chunk — as the site's entry point, under the site's
+     * hardening multiplier (the callee component's hardening tax).
+     * The resolved (from, to) GatePolicy selects the MPK flavour and
+     * whether the return path scrubs the register set (asymmetric
+     * policies like "EPT->MPK returns skip re-validation" drop the
+     * return-side scrub). Backends that can amortize pay one
      * transition plus (count - 1) * batchSlot: MPK and CHERI one
      * entry/return leg, EPT one ring slot and one doorbell; the
      * baselines pay a full crossing per body. An exception from any
@@ -64,9 +66,7 @@ class IsolationBackend
      * policy and counted the calls in the crossing ledger.
      */
     virtual void cross(Image &img, int from, int to,
-                       const GatePolicy &policy,
-                       const std::string &calleeLib, const char *fnName,
-                       double calleeWorkMult,
+                       const GatePolicy &policy, const GateSite &site,
                        const std::function<void()> *bodies,
                        std::size_t count) = 0;
 

@@ -119,6 +119,7 @@ Image::Image(Machine &m, Scheduler &s, SafetyConfig config,
     // enforced under the gate matrix's resolved (from, to) policy.
     gates = GateMatrix::build(cfg);
     gateBuckets.resize(comps.size() * comps.size());
+    crossings.assign(comps.size() * comps.size(), 0);
     compLastCore.assign(comps.size(), -1);
     for (Mechanism m : cfg.mechanisms())
         backends.push_back(makeBackend(m));
@@ -128,7 +129,11 @@ Image::Image(Machine &m, Scheduler &s, SafetyConfig config,
             if (b->mechanism() == comps[i]->spec.mechanism)
                 compBackends[i] = b.get();
         panic_if(!compBackends[i], "compartment without a backend");
+        replicatesTcb.push_back(compBackends[i]->replicatesTcb());
+        cfiHardened.push_back(comps[i]->spec.hardenedWith(Hardening::Cfi));
+        counterIds.push_back(mach.counterCompartment(comps[i]->spec.name));
     }
+    streakStamp = sched.freshStamp();
 
     // Least privilege is checked at build for everything the build can
     // see: a `deny:` rule on an edge the static call graph needs is a
@@ -148,8 +153,8 @@ Image::rejectDeniedStaticEdges() const
             if (it == libToComp.end())
                 continue; // unassigned TCB service: local to the caller
             int to = it->second;
-            // Mirrors resolveCallee: TCB libraries are local to
-            // callers whose mechanism replicates the kernel.
+            // Mirrors calleeOf: TCB libraries are local to callers
+            // whose mechanism replicates the kernel.
             if (from == to ||
                 (reg.get(callee).tcb && backendFor(from).replicatesTcb()))
                 continue;
@@ -174,11 +179,13 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
             cfg.compartments[static_cast<std::size_t>(from)].name;
         const std::string &toName =
             cfg.compartments[static_cast<std::size_t>(to)].name;
-        mach.bump("gate.denied");
+        mach.bump(Counter::GateDenied);
         // Per-edge witness: the runtime controller's deny-alert rule
         // needs to know WHICH edge is being probed, not just that
         // some denied crossing happened somewhere.
-        mach.bump("gate.denied." + fromName + "->" + toName);
+        mach.bump(CounterEdge::Denied,
+                  counterIds[static_cast<std::size_t>(from)],
+                  counterIds[static_cast<std::size_t>(to)]);
         throw DeniedCrossing(fromName, toName);
     }
     if (!pol.rate)
@@ -205,18 +212,15 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
     b.lastRefill = now;
 
     if (b.tokens < 1.0) {
-        mach.bump("gate.throttled");
+        int fromId = counterIds[static_cast<std::size_t>(from)];
+        int toId = counterIds[static_cast<std::size_t>(to)];
+        mach.bump(Counter::GateThrottled);
         // Per-caller breakdown: who is being back-pressured matters
         // for QoS tuning (which `weight:` to raise).
-        mach.bump("gate.throttled." +
-                  cfg.compartments[static_cast<std::size_t>(from)].name);
+        mach.bump(CounterFrom::Throttled, fromId);
         // Per-edge breakdown: the controller's relax rule reads this
         // to see whether a tightened budget still actively constrains.
-        mach.bump(
-            "gate.throttled." +
-            cfg.compartments[static_cast<std::size_t>(from)].name +
-            "->" +
-            cfg.compartments[static_cast<std::size_t>(to)].name);
+        mach.bump(CounterEdge::Throttled, fromId, toId);
         if (pol.overflow == RateOverflow::Fail)
             throw ThrottledCrossing(
                 cfg.compartments[static_cast<std::size_t>(from)].name,
@@ -238,14 +242,12 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
 bool
 Image::noteBoundaryStreak(int from, int to)
 {
-    Thread *t = sched.current();
-    int id = t ? t->id() : -1;
-    auto key = std::make_pair(from, to);
-    auto [it, inserted] = lastBoundary.try_emplace(id, key);
-    if (inserted)
-        return false;
-    bool same = it->second == key;
-    it->second = key;
+    Thread::CrossingState &st = crossingStateOf(sched.current());
+    bool same = st.streakStamp == streakStamp && st.lastFrom == from &&
+                st.lastTo == to;
+    st.streakStamp = streakStamp;
+    st.lastFrom = from;
+    st.lastTo = to;
     return same;
 }
 
@@ -256,32 +258,32 @@ Image::applyElision(int from, int to, const GatePolicy &pol,
     bool streak = noteBoundaryStreak(from, to);
     if (pol.validateEntry) {
         if (streak && elidesValidate(pol.elide)) {
-            mach.bump("gate.elided.validate");
+            mach.bump(Counter::GateElidedValidate);
         } else {
             // Policy-forced caller-side entry validation: one probe
             // of the callee's export table, whatever the mechanism's
             // own rule (the functional check is in checkEntry).
             mach.consume(mach.timing.entryValidate);
-            mach.bump("gate.validate");
+            mach.bump(Counter::GateValidate);
         }
     }
     if (streak && elidesScrub(pol.elide) && pol.scrubReturn) {
         scratch = pol;
         scratch.scrubReturn = false;
-        mach.bump("gate.elided.scrub");
+        mach.bump(Counter::GateElidedScrub);
         return scratch;
     }
     return pol;
 }
 
 void
-Image::gateBatch(const std::string &calleeLib, const char *fnName,
+Image::gateBatch(const GateSite &site,
                  const std::vector<std::function<void()>> &bodies)
 {
     if (bodies.empty())
         return;
     int from = currentCompartment();
-    int to = resolveCallee(calleeLib, from);
+    int to = calleeOf(site, from);
     const std::size_t width =
         from == to
             ? 1
@@ -291,10 +293,9 @@ Image::gateBatch(const std::string &calleeLib, const char *fnName,
         // Unbatched boundary (or a same-compartment call): exactly
         // the sequential gate path, vcycle-identical by construction.
         for (const auto &body : bodies)
-            gate(calleeLib, fnName, [&] { body(); });
+            gate(site, [&] { body(); });
         return;
     }
-    double mult = libMultiplier(calleeLib);
     // Pending-swap barrier, mirroring gate(): park here so the chunks
     // below resolve their policy against the post-swap matrix. Once
     // the loop starts no swap can land between chunks — a swap can
@@ -303,13 +304,12 @@ Image::gateBatch(const std::string &calleeLib, const char *fnName,
     if (swapWaiters > 0 && sched.current())
         yieldForSwap();
     for (std::size_t i = 0; i < bodies.size(); i += width)
-        cross(from, to, calleeLib, fnName, mult, &bodies[i],
+        cross(from, to, site, &bodies[i],
               std::min(width, bodies.size() - i));
 }
 
 void
-Image::cross(int from, int to, const std::string &calleeLib,
-             const char *fnName, double mult,
+Image::cross(int from, int to, const GateSite &site,
              const std::function<void()> *bodies, std::size_t count)
 {
     // Per-boundary dispatch: the (from, to) cell of the gate matrix
@@ -324,7 +324,7 @@ Image::cross(int from, int to, const std::string &calleeLib,
         enforceBoundary(from, to, pol);
     GatePolicy scratch;
     const GatePolicy &eff = applyElision(from, to, pol, scratch);
-    checkEntry(calleeLib, fnName, from, to, pol);
+    checkEntry(site, from, to, pol);
     // SMP crossing accounting: when a compartment was last entered
     // from a different core, its hot state (private stacks, heap
     // metadata, gate scratch) migrates to the entering core's caches.
@@ -332,28 +332,28 @@ Image::cross(int from, int to, const std::string &calleeLib,
     int &lastCore = compLastCore[static_cast<std::size_t>(to)];
     if (lastCore >= 0 && lastCore != coreNow) {
         mach.consume(mach.timing.crossCoreMigration);
-        mach.bump("gate.crossCore");
+        mach.bump(Counter::GateCrossCore);
     }
     lastCore = coreNow;
     if (count > 1) {
-        mach.bump("gate.batched");
-        mach.bump("gate.batchedCalls", count);
+        mach.bump(Counter::GateBatched);
+        mach.bump(Counter::GateBatchedCalls, count);
     }
     // The ledger counts logical calls, all of a chunk's even when one
     // of its bodies throws.
-    crossings[{from, to}] += count;
+    crossings[static_cast<std::size_t>(from) * comps.size() +
+              static_cast<std::size_t>(to)] += count;
     // `pol`/`eff` reference cells of the live matrix; the scope keeps
     // swapGateMatrix from replacing it while the crossing (which may
     // suspend inside an EPT ring RPC) is in flight.
     CrossingScope xing(*this);
-    backendOf(pol.mech).cross(*this, from, to, eff, calleeLib, fnName,
-                              mult, bodies, count);
+    backendOf(pol.mech).cross(*this, from, to, eff, site, bodies, count);
     // Return-leg policy work: `validate_return` boundaries re-probe
     // the caller's export table on the way back (the symmetric check
     // to `validate`), charged only when the callee returned normally.
     if (pol.validateReturn) {
         mach.consume(mach.timing.entryValidate);
-        mach.bump("gate.validate.return");
+        mach.bump(Counter::GateValidateReturn);
     }
 }
 
@@ -361,10 +361,11 @@ void
 Image::gateDeferred(const std::string &calleeLib, const char *fnName,
                     std::function<void()> body)
 {
+    GateSite site = entry(calleeLib, fnName);
     int from = currentCompartment();
-    int to = resolveCallee(calleeLib, from);
+    int to = calleeOf(site, from);
     if (from == to || policyFor(from, to).batch <= 1) {
-        gate(calleeLib, fnName, [&] { body(); });
+        gate(site, [&] { body(); });
         return;
     }
     Thread *t = sched.current();
@@ -372,15 +373,15 @@ Image::gateDeferred(const std::string &calleeLib, const char *fnName,
     {
         PendingBatch &pb = pendingBatches[id];
         if (!pb.bodies.empty() &&
-            (pb.lib != calleeLib || std::strcmp(pb.fn, fnName) != 0)) {
+            (pb.site.lib != calleeLib ||
+             std::strcmp(pb.site.fn, fnName) != 0)) {
             // A deferred call to a different target flushes the
             // pending batch first so the two boundaries stay ordered.
             flushBatchFor(id);
         }
     }
     PendingBatch &pb = pendingBatches[id]; // flush may have erased it
-    pb.lib = calleeLib;
-    pb.fn = fnName;
+    pb.site = std::move(site);
     pb.bodies.push_back(std::move(body));
     if (pb.bodies.size() >= static_cast<std::size_t>(
                                 policyFor(from, to).batch))
@@ -406,7 +407,7 @@ Image::flushBatchFor(int threadId)
     // no pending work.
     PendingBatch pb = std::move(it->second);
     pendingBatches.erase(it);
-    gateBatch(pb.lib, pb.fn, pb.bodies);
+    gateBatch(pb.site, pb.bodies);
 }
 
 IsolationBackend &
@@ -521,7 +522,7 @@ Image::boot()
 
     // Boot-time cost: section protection, key setup, backend init.
     mach.consume(50'000 + 10'000 * comps.size());
-    mach.bump("image.boots");
+    mach.bump(Counter::ImageBoots);
     booted = true;
 }
 
@@ -541,7 +542,7 @@ Image::shutdown()
         preSuspendHooked = false;
     }
     pendingBatches.clear();
-    lastBoundary.clear();
+    streakStamp = sched.freshStamp();
     unregisterRegions();
     booted = false;
 }
@@ -626,25 +627,33 @@ Image::sameCompartment(const std::string &a, const std::string &b) const
     return compartmentIndexOf(a) == compartmentIndexOf(b);
 }
 
-int
-Image::resolveCallee(const std::string &lib, int from) const
+void
+Image::raiseUnresolved(const GateSite &site) const
 {
-    // TCB libraries are replicated into every compartment when the
-    // backend duplicates the kernel (EPT), and always for the memory
-    // manager: each compartment owns a private allocator instance.
-    auto it = libToComp.find(lib);
-    if (it == libToComp.end()) {
-        const LibraryInfo &info = reg.get(lib);
-        fatal_if(!info.tcb, "library '", lib, "' not in the image");
-        return from; // unassigned TCB service: local to every caller
-    }
-    // TCB replication is a property of the *caller's* compartment: a
-    // compartment whose mechanism duplicates the kernel (EPT VMs) has
-    // its own local copy; callers under non-replicating mechanisms
-    // cross into the TCB library's home compartment.
-    if (reg.get(lib).tcb && backendFor(from).replicatesTcb())
-        return from;
-    return it->second;
+    reg.get(site.lib); // raises for a library the registry lacks
+    fatal("library '", site.lib, "' not in the image");
+}
+
+GateSite
+Image::entry(const std::string &calleeLib, const char *fnName) const
+{
+    GateSite site;
+    site.lib = calleeLib;
+    site.fn = fnName;
+    site.mult = libMultiplier(calleeLib);
+    // Unknown or unplaced non-TCB libraries keep `notInImage`: a call
+    // through the site raises (raiseUnresolved).
+    if (!reg.contains(calleeLib))
+        return site;
+    const LibraryInfo &info = reg.get(calleeLib);
+    site.tcb = info.tcb;
+    site.entryValid = info.entryPoints.count(fnName) != 0;
+    auto it = libToComp.find(calleeLib);
+    if (it != libToComp.end())
+        site.home = it->second;
+    else if (info.tcb)
+        site.home = GateSite::callerLocal;
+    return site;
 }
 
 int
@@ -664,26 +673,24 @@ Image::currentHardening() const
 }
 
 void
-Image::checkEntry(const std::string &lib, const char *fnName, int from,
-                  int to, const GatePolicy &pol) const
+Image::checkEntry(const GateSite &site, int from, int to,
+                  const GatePolicy &pol)
 {
     bool enforce = pol.validateEntry ||
                    backendOf(pol.mech).checksEntryPoints() ||
-                   comps[static_cast<std::size_t>(to)]->spec.hardenedWith(
-                       Hardening::Cfi);
+                   cfiHardened[static_cast<std::size_t>(to)];
     if (!enforce)
         return;
-    if (!reg.isEntryPoint(lib, fnName)) {
+    if (!site.entryValid) {
         // Witness the rejection per attacked edge before raising, so
         // the adversary scorecard (and the controller's deny-witness
         // pass) can attribute the forged entry to its boundary.
-        mach.bump("gate.validate.reject");
-        mach.bump(
-            "gate.validate.reject." +
-            comps[static_cast<std::size_t>(from)]->spec.name + "->" +
-            comps[static_cast<std::size_t>(to)]->spec.name);
-        throw CfiViolation(std::string("gate to non-entry-point ") + lib +
-                           "." + fnName);
+        mach.bump(Counter::GateValidateReject);
+        mach.bump(CounterEdge::ValidateReject,
+                  counterIds[static_cast<std::size_t>(from)],
+                  counterIds[static_cast<std::size_t>(to)]);
+        throw CfiViolation(std::string("gate to non-entry-point ") +
+                           site.lib + "." + site.fn);
     }
 }
 
@@ -788,16 +795,15 @@ Image::reapSimStacks(int threadId)
             mach.memMap.remove(it->second.mem.get() +
                                SimStack::stackBytes);
         it = simStacks.erase(it);
-        mach.bump("image.simStackReaps");
+        mach.bump(Counter::ImageSimStackReaps);
     }
-    lastBoundary.erase(threadId);
     // A thread that exits with deferred calls still queued never
     // reached a flush point — drop them, visibly (the cancellation
     // unwind legitimately strands batches at teardown).
     auto pit = pendingBatches.find(threadId);
     if (pit != pendingBatches.end()) {
         if (!pit->second.bodies.empty())
-            mach.bump("gate.batchDropped", pit->second.bodies.size());
+            mach.bump(Counter::GateBatchDropped, pit->second.bodies.size());
         pendingBatches.erase(pit);
     }
 }
@@ -860,7 +866,7 @@ Image::yieldForSwap()
     // Kept out of the header's hot path: a plain cooperative yield —
     // the swapper is runnable (or will be woken by the next drained
     // crossing) and flips the matrix before this thread runs again.
-    mach.bump("matrix.swapYields");
+    mach.bump(Counter::MatrixSwapYields);
     sched.yield();
 }
 
@@ -878,8 +884,7 @@ Image::swapGateMatrix(GateMatrix next)
         return false;
 
     Thread *self = sched.current();
-    int tid = self ? self->id() : -1;
-    panic_if(crossingDepth.count(tid),
+    panic_if(crossingStateOf(self).depth > 0,
              "swapGateMatrix called from inside a gated crossing");
 
     // The swapper's own pending batch would otherwise be flushed by a
@@ -893,7 +898,7 @@ Image::swapGateMatrix(GateMatrix next)
     // crossings park at the gate()-side barrier while swapWaiters > 0.
     ++swapWaiters;
     if (activeCrossings_ > 0)
-        mach.bump("matrix.quiesceWaits");
+        mach.bump(Counter::MatrixQuiesceWaits);
     while (activeCrossings_ > 0) {
         if (self) {
             quiesceWait.wait(); // woken by the last CrossingScope
@@ -932,15 +937,15 @@ Image::swapGateMatrix(GateMatrix next)
 
     // Elision streaks are a same-policy-run optimisation; they do not
     // survive an epoch whose policies may differ.
-    lastBoundary.clear();
+    streakStamp = sched.freshStamp();
 
     ackCoresAfterSwap();
 
     for (auto &b : backends)
         b->policyChanged(*this);
 
-    mach.bump("matrix.swaps");
-    mach.bump("matrix.epoch");
+    mach.bump(Counter::MatrixSwaps);
+    mach.bump(Counter::MatrixEpoch);
     return true;
 }
 
@@ -961,7 +966,7 @@ Image::ackCoresAfterSwap()
         int core = static_cast<int>(c);
         if (core == selfCore) {
             // The swapper's own core acks by running this code.
-            mach.bump("matrix.coreAcks");
+            mach.bump(Counter::MatrixCoreAcks);
             continue;
         }
         if (self) {
@@ -974,7 +979,7 @@ Image::ackCoresAfterSwap()
                        sched.dispatchesOn(core) != mark[c];
             });
         }
-        mach.bump("matrix.coreAcks");
+        mach.bump(Counter::MatrixCoreAcks);
     }
 }
 
@@ -997,11 +1002,24 @@ Image::statsDelta(const StatsSnapshot &before, const StatsSnapshot &now)
     return out;
 }
 
+std::map<std::pair<int, int>, std::uint64_t>
+Image::gateCrossings() const
+{
+    std::map<std::pair<int, int>, std::uint64_t> out;
+    std::size_t n = comps.size();
+    for (std::size_t i = 0; i < crossings.size(); ++i)
+        if (crossings[i])
+            out.emplace(std::make_pair(static_cast<int>(i / n),
+                                       static_cast<int>(i % n)),
+                        crossings[i]);
+    return out;
+}
+
 std::map<std::pair<int, int>, Image::BoundaryStat>
 Image::boundaryStats() const
 {
     std::map<std::pair<int, int>, BoundaryStat> out;
-    for (const auto &[pair, count] : crossings) {
+    for (const auto &[pair, count] : gateCrossings()) {
         BoundaryStat s;
         s.from = comps[static_cast<std::size_t>(pair.first)]->spec.name;
         s.to = comps[static_cast<std::size_t>(pair.second)]->spec.name;

@@ -181,6 +181,30 @@ struct SimStack
 };
 
 /**
+ * One gate call site, resolved against an image once (Image::entry).
+ * FlexOS's toolchain instantiates every gate placeholder at build time
+ * for a known callee; a site is that instantiation: the callee's home
+ * compartment, whether it is a TCB service, its hardening multiplier
+ * and whether the entry point is exported. A crossing through a site
+ * only indexes the gate matrix — no string is looked up.
+ */
+struct GateSite
+{
+    /** `home` of an unassigned TCB service: local to every caller. */
+    static constexpr int callerLocal = -1;
+    /** `home` of a library the image does not place; using the site
+     *  raises the same error a by-name gate does. */
+    static constexpr int notInImage = -2;
+
+    std::string lib;          ///< callee library
+    const char *fn = nullptr; ///< entry point
+    int home = notInImage;    ///< callee compartment index
+    bool tcb = false;         ///< TCB library (replicated under EPT)
+    double mult = 1.0;        ///< callee's hardening work multiplier
+    bool entryValid = false;  ///< fn is one of lib's entry points
+};
+
+/**
  * The runtime image.
  */
 class Image
@@ -210,27 +234,35 @@ class Image
     /** @} */
 
     /**
-     * The call gate. Executes fn as entry point fnName of calleeLib,
-     * performing a domain transition when the caller's current
-     * compartment differs from the callee's. Same-compartment calls
-     * cost exactly a function call — "you only pay for what you get".
+     * Resolve a gate call site once: the callee library's placement,
+     * TCB flag, hardening multiplier and whether fnName is one of its
+     * entry points. Sites stay valid for the image's lifetime (matrix
+     * swaps change policies, never placement). A library the image
+     * does not hold yields a site that raises when used, as gate()
+     * by name does.
+     */
+    GateSite entry(const std::string &calleeLib, const char *fnName) const;
+
+    /**
+     * The call gate. Executes fn as the site's entry point, performing
+     * a domain transition when the caller's current compartment
+     * differs from the callee's. Same-compartment calls cost exactly a
+     * function call — "you only pay for what you get".
      */
     template <typename F>
     auto
-    gate(const std::string &calleeLib, const char *fnName, F &&fn)
-        -> std::invoke_result_t<F>
+    gate(const GateSite &site, F &&fn) -> std::invoke_result_t<F>
     {
         using R = std::invoke_result_t<F>;
         int from = currentCompartment();
-        int to = resolveCallee(calleeLib, from);
-        double mult = libMultiplier(calleeLib);
+        int to = calleeOf(site, from);
         if (from == to) {
             // Same compartment: the gate degenerates to a plain call
             // (paper Figure 3, step 3': zero overhead). Only the
             // callee's own hardening instrumentation applies.
             mach.consume(mach.timing.functionCall);
-            mach.bump("gate.direct");
-            WorkMultGuard guard(mach, mult);
+            mach.bump(Counter::GateDirect);
+            WorkMultGuard guard(mach, site.mult);
             return fn();
         }
         // A pending quiesced matrix swap wins over NEW crossings:
@@ -242,13 +274,22 @@ class Image
             yieldForSwap();
         if constexpr (std::is_void_v<R>) {
             const std::function<void()> body = [&] { fn(); };
-            cross(from, to, calleeLib, fnName, mult, &body, 1);
+            cross(from, to, site, &body, 1);
         } else {
             std::optional<R> result;
             const std::function<void()> body = [&] { result.emplace(fn()); };
-            cross(from, to, calleeLib, fnName, mult, &body, 1);
+            cross(from, to, site, &body, 1);
             return std::move(*result);
         }
+    }
+
+    /** The call gate by name: resolves the site on every call. */
+    template <typename F>
+    auto
+    gate(const std::string &calleeLib, const char *fnName, F &&fn)
+        -> std::invoke_result_t<F>
+    {
+        return gate(entry(calleeLib, fnName), std::forward<F>(fn));
     }
 
     /**
@@ -261,8 +302,16 @@ class Image
      * the plain sequential gate. Chunks and gate() share one crossing
      * sequence, so each is vcycle-identical by construction.
      */
-    void gateBatch(const std::string &calleeLib, const char *fnName,
+    void gateBatch(const GateSite &site,
                    const std::vector<std::function<void()>> &bodies);
+
+    /** The vectored gate by name: resolves the site on every call. */
+    void
+    gateBatch(const std::string &calleeLib, const char *fnName,
+              const std::vector<std::function<void()>> &bodies)
+    {
+        gateBatch(entry(calleeLib, fnName), bodies);
+    }
 
     /**
      * Deferred vectored gate: queue one call on the calling thread's
@@ -375,12 +424,8 @@ class Image
     /** Generated linker-script analogue describing the memory layout. */
     std::string linkerScript() const;
 
-    /** Gate-crossing counters per (from, to) pair. */
-    const std::map<std::pair<int, int>, std::uint64_t> &
-    gateCrossings() const
-    {
-        return crossings;
-    }
+    /** Gate-crossing counters per (from, to) pair that was crossed. */
+    std::map<std::pair<int, int>, std::uint64_t> gateCrossings() const;
 
     /** One (from, to) boundary's traffic, named by its policy. */
     struct BoundaryStat
@@ -475,14 +520,36 @@ class Image
   private:
     friend class Toolchain;
 
-    int resolveCallee(const std::string &lib, int from) const;
+    /**
+     * The compartment a call through `site` from `from` lands in. TCB
+     * libraries are replicated into every compartment when the
+     * backend duplicates the kernel (EPT), and an unassigned TCB
+     * service (the memory manager) is local to every caller; TCB
+     * replication is a property of the *caller's* compartment, so
+     * callers under non-replicating mechanisms cross into the TCB
+     * library's home compartment.
+     */
+    int
+    calleeOf(const GateSite &site, int from) const
+    {
+        if (site.home >= 0)
+            return site.tcb && replicatesTcb[static_cast<std::size_t>(from)]
+                       ? from
+                       : site.home;
+        if (site.home != GateSite::callerLocal)
+            raiseUnresolved(site);
+        return from;
+    }
+
+    /** The error a site of a library the image lacks raises on use. */
+    [[noreturn]] void raiseUnresolved(const GateSite &site) const;
+
     /**
      * The one crossing sequence behind gate() and gateBatch(): `count`
      * calls from compartment `from` into `to` through one backend
      * transition. The caller has already passed the swap barrier.
      */
-    void cross(int from, int to, const std::string &calleeLib,
-               const char *fnName, double mult,
+    void cross(int from, int to, const GateSite &site,
                const std::function<void()> *bodies, std::size_t count);
     /**
      * Entry-point validation of one crossing: a gate aimed at a
@@ -491,8 +558,8 @@ class Image
      * and the per-edge `gate.validate.reject.<from>-><to>` counter so
      * the adversary scorecard can pin rejections to the attacked edge.
      */
-    void checkEntry(const std::string &lib, const char *fnName, int from,
-                    int to, const GatePolicy &pol) const;
+    void checkEntry(const GateSite &site, int from, int to,
+                    const GatePolicy &pol);
     /**
      * Least-privilege enforcement of one crossing: raises
      * DeniedCrossing on a denied edge, and debits the boundary's
@@ -542,18 +609,15 @@ class Image
     struct CrossingScope
     {
         explicit CrossingScope(Image &i)
-            : img(i),
-              tid(i.sched.current() ? i.sched.current()->id() : -1)
+            : img(i), state(i.crossingStateOf(i.sched.current()))
         {
             ++img.activeCrossings_;
-            ++img.crossingDepth[tid];
+            ++state.depth;
         }
 
         ~CrossingScope()
         {
-            auto it = img.crossingDepth.find(tid);
-            if (--it->second == 0)
-                img.crossingDepth.erase(it);
+            --state.depth;
             if (--img.activeCrossings_ == 0 && img.swapWaiters > 0)
                 img.quiesceWait.wakeAll();
         }
@@ -562,8 +626,15 @@ class Image
         CrossingScope &operator=(const CrossingScope &) = delete;
 
         Image &img;
-        int tid;
+        Thread::CrossingState &state;
     };
+
+    /** A thread's crossing state; the driver context's when null. */
+    Thread::CrossingState &
+    crossingStateOf(Thread *t)
+    {
+        return t ? t->crossing : driverCrossing;
+    }
 
     /** The gate()-side half of the swap barrier (out of the header's
      *  hot path; defined with swapGateMatrix). */
@@ -580,8 +651,14 @@ class Image
     GateMatrix gates;
     /** Crossings currently inside a backend transit (all threads). */
     int activeCrossings_ = 0;
-    /** Per-thread crossing depth (self-swap detection). */
-    std::map<int, int> crossingDepth;
+    /** Crossing state of the driver context (no current thread). */
+    Thread::CrossingState driverCrossing;
+    /**
+     * Stamp of the current elision-streak epoch: crossing state whose
+     * streakStamp differs records no previous boundary. A fresh stamp
+     * (matrix swap, shutdown) ends every thread's streak at once.
+     */
+    std::uint64_t streakStamp = 0;
     /** swapGateMatrix callers blocked on the quiesce barrier. */
     int swapWaiters = 0;
     /** Woken when the last in-flight crossing drains. */
@@ -589,6 +666,13 @@ class Image
 
     std::vector<std::unique_ptr<Compartment>> comps;
     std::map<std::string, int> libToComp;
+    /** Per compartment: its mechanism replicates the TCB (EPT). */
+    std::vector<char> replicatesTcb;
+    /** Per compartment: CFI hardening (gates check entry points). */
+    std::vector<char> cfiHardened;
+    /** Per compartment: its id in the machine's per-compartment
+     *  counter families (Machine::counterCompartment). */
+    std::vector<int> counterIds;
     /** One backend per distinct mechanism in the config. */
     std::vector<std::unique_ptr<IsolationBackend>> backends;
     /** Compartment index -> its mechanism's backend. */
@@ -604,21 +688,19 @@ class Image
     std::vector<GateBucket> gateBuckets;
     /** Core each compartment last executed on (-1 = never entered). */
     std::vector<int> compLastCore;
-    /** Per-thread (from, to) of the last crossing (`elide:` streaks). */
-    std::map<int, std::pair<int, int>> lastBoundary;
 
     /** One thread's queued deferred calls (gateDeferred). */
     struct PendingBatch
     {
-        std::string lib;
-        const char *fn = nullptr;
+        GateSite site;
         std::vector<std::function<void()>> bodies;
     };
     std::map<int, PendingBatch> pendingBatches;
     /** Scheduler pre-suspension hook installed (batch flushing). */
     bool preSuspendHooked = false;
     std::map<std::pair<int, int>, SimStack> simStacks;
-    std::map<std::pair<int, int>, std::uint64_t> crossings;
+    /** Row-major [from * n + to] crossing ledger (logical calls). */
+    std::vector<std::uint64_t> crossings;
     std::vector<const void *> registeredRegions;
     bool booted = false;
 };

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
+#include <tuple>
 
 #include "base/logging.hh"
 
@@ -39,6 +41,7 @@ Machine::Machine(TimingModel tm, unsigned cores) : timing(tm)
 {
     panic_if(cores == 0, "a machine needs at least one core");
     cores_.resize(cores);
+    coreStall.resize(cores);
 }
 
 Machine::~Machine() = default;
@@ -112,7 +115,7 @@ Machine::advanceCoreTo(int core, Cycles target)
     if (target <= now)
         return;
     chargeCore(core, target - now);
-    bump("machine.idleCycles", target - now);
+    bump(Counter::MachineIdleCycles, target - now);
 }
 
 void
@@ -150,7 +153,7 @@ Machine::checkAccess(const void *p, std::size_t size, AccessType at)
         return;
 
     ++violations;
-    bump("mmu.violations");
+    bump(Counter::MmuViolations);
     if (enforcement == Enforcement::Enforcing)
         throw ProtectionFault(p, denied->key, at, denied->name);
 }
@@ -158,20 +161,76 @@ Machine::checkAccess(const void *p, std::size_t size, AccessType at)
 void
 Machine::bump(const std::string &counter, std::uint64_t n)
 {
-    stats[counter] += n;
+    if (auto c = counterNamed(counter))
+        bump(*c, n);
+    else
+        namedStats[counter] += n;
+}
+
+int
+Machine::counterCompartment(const std::string &name)
+{
+    auto it = std::find(counterComps.begin(), counterComps.end(), name);
+    if (it != counterComps.end())
+        return static_cast<int>(it - counterComps.begin());
+    counterComps.push_back(name);
+    if (counterComps.size() > edgeStride) {
+        // Re-lay the [from][to] arrays out at a doubled stride; this
+        // happens only while images register their compartments.
+        std::size_t stride = std::max<std::size_t>(8, 2 * edgeStride);
+        for (auto &cells : edgeSlots) {
+            std::vector<Slot> grown(stride * stride);
+            for (std::size_t f = 0; f < edgeStride; ++f)
+                for (std::size_t t = 0; t < edgeStride; ++t)
+                    grown[f * stride + t] = cells[f * edgeStride + t];
+            cells = std::move(grown);
+        }
+        for (auto &cells : fromSlots)
+            cells.resize(stride);
+        edgeStride = stride;
+    }
+    return static_cast<int>(counterComps.size() - 1);
 }
 
 std::uint64_t
 Machine::counter(const std::string &name) const
 {
-    auto it = stats.find(name);
-    return it == stats.end() ? 0 : it->second;
+    if (auto c = counterNamed(name))
+        return counter(*c);
+    auto all = counters();
+    auto it = all.find(name);
+    return it == all.end() ? 0 : it->second;
 }
 
-const std::map<std::string, std::uint64_t> &
+std::map<std::string, std::uint64_t>
 Machine::counters() const
 {
-    return stats;
+    std::map<std::string, std::uint64_t> out = namedStats;
+    auto put = [&](std::string name, const Slot &s) {
+        if (s.touched)
+            out[std::move(name)] += s.value;
+    };
+    for (std::size_t i = 0; i < counterCount; ++i)
+        put(std::string(counterNames[i]), slots[i]);
+    static constexpr const char *edgePrefix[] = {
+        "gate.denied.", "gate.throttled.", "gate.validate.reject."};
+    static_assert(std::size(edgePrefix) ==
+                  std::tuple_size_v<decltype(edgeSlots)>);
+    std::size_t n = counterComps.size();
+    for (std::size_t k = 0; k < edgeSlots.size(); ++k)
+        for (std::size_t f = 0; f < n; ++f)
+            for (std::size_t t = 0; t < n; ++t)
+                put(edgePrefix[k] + counterComps[f] + "->" + counterComps[t],
+                    edgeSlots[k][f * edgeStride + t]);
+    static constexpr const char *fromPrefix[] = {"gate.throttled."};
+    static_assert(std::size(fromPrefix) ==
+                  std::tuple_size_v<decltype(fromSlots)>);
+    for (std::size_t k = 0; k < fromSlots.size(); ++k)
+        for (std::size_t f = 0; f < n; ++f)
+            put(fromPrefix[k] + counterComps[f], fromSlots[k][f]);
+    for (std::size_t c = 0; c < coreStall.size(); ++c)
+        put("machine.stallCycles.core" + std::to_string(c), coreStall[c]);
+    return out;
 }
 
 Machine &

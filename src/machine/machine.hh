@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "machine/counters.hh"
 #include "machine/memmap.hh"
 #include "machine/pkru.hh"
 #include "machine/timing.hh"
@@ -105,8 +106,8 @@ class Machine
         if (!chargingEnabled)
             return;
         cycleCount += c;
-        bump("machine.stallCycles", c);
-        bump("machine.stallCycles.core" + std::to_string(active_), c);
+        bump(Counter::MachineStallCycles, c);
+        add(coreStall[static_cast<std::size_t>(active_)], c);
     }
 
     /**
@@ -211,10 +212,50 @@ class Machine
     /** @} */
 
     /** @name Statistics. @{ */
-    /** Bump a named event counter (gate crossings, faults, RPCs...). */
+    /** Bump an event counter (gate crossings, faults, RPCs...). */
+    void bump(Counter c, std::uint64_t n = 1) { add(slots[index(c)], n); }
+
+    /**
+     * Bump a per-(from, to) counter. `from` and `to` are the ids
+     * counterCompartment() handed out for the compartment names.
+     */
+    void
+    bump(CounterEdge kind, int from, int to, std::uint64_t n = 1)
+    {
+        add(edgeSlots[index(kind)][static_cast<std::size_t>(from) *
+                                       edgeStride +
+                                   static_cast<std::size_t>(to)],
+            n);
+    }
+
+    /** Bump a per-caller counter (`from` as for the edge overload). */
+    void
+    bump(CounterFrom kind, int from, std::uint64_t n = 1)
+    {
+        add(fromSlots[index(kind)][static_cast<std::size_t>(from)], n);
+    }
+
+    /**
+     * Bump a counter by name: a name in the Counter table lands in its
+     * slot; any other name is kept as given (tests, probes).
+     */
     void bump(const std::string &counter, std::uint64_t n = 1);
+
+    /**
+     * The dense id of a compartment name in the per-compartment
+     * counter families, assigned on first use; images register their
+     * compartments once, at construction.
+     */
+    int counterCompartment(const std::string &name);
+
+    std::uint64_t counter(Counter c) const { return slots[index(c)].value; }
     std::uint64_t counter(const std::string &name) const;
-    const std::map<std::string, std::uint64_t> &counters() const;
+
+    /**
+     * Every counter ever bumped (even by 0), by name. The per-
+     * compartment and per-core families are spelled out here only.
+     */
+    std::map<std::string, std::uint64_t> counters() const;
     /** @} */
 
     /** The timing model in force. */
@@ -238,8 +279,42 @@ class Machine
                                    workMultiplier);
     }
 
+    /** One counter: its total and whether it was ever bumped. */
+    struct Slot
+    {
+        std::uint64_t value = 0;
+        bool touched = false;
+    };
+
+    static void
+    add(Slot &s, std::uint64_t n)
+    {
+        s.value += n;
+        s.touched = true;
+    }
+
+    template <typename E>
+    static constexpr std::size_t
+    index(E e)
+    {
+        return static_cast<std::size_t>(e);
+    }
+
     Cycles cycleCount = 0;
-    std::map<std::string, std::uint64_t> stats;
+
+    std::array<Slot, counterCount> slots{};
+    /** Counters bumped under names outside the Counter table. */
+    std::map<std::string, std::uint64_t> namedStats;
+    /** Compartment names of the per-compartment families, by id. */
+    std::vector<std::string> counterComps;
+    /** Row stride of edgeSlots (capacity in compartment ids). */
+    std::size_t edgeStride = 0;
+    /** [kind][from * edgeStride + to] */
+    std::array<std::vector<Slot>, 3> edgeSlots;
+    /** [kind][from] */
+    std::array<std::vector<Slot>, 1> fromSlots;
+    /** machine.stallCycles.core<N>, by core. */
+    std::vector<Slot> coreStall;
 
     /** Banked register files; cores_[active_] is stale while active. */
     std::vector<CoreContext> cores_;

@@ -40,16 +40,16 @@ NicEndpoint::transmit(NetBuf frame)
     if (Machine::hasCurrent()) {
         auto &m = Machine::current();
         m.consume(m.timing.nicFrame);
-        m.bump("nic.tx");
+        m.bump(Counter::NicTx);
     }
     if (peer->rxFilter && !peer->rxFilter(frame)) {
         if (Machine::hasCurrent())
-            Machine::current().bump("nic.dropped");
+            Machine::current().bump(Counter::NicDropped);
         return;
     }
     std::size_t q = peer->steerTo(frame);
     if (q != 0 && Machine::hasCurrent())
-        Machine::current().bump("nic.steered");
+        Machine::current().bump(Counter::NicSteered);
     peer->rxQueues[q].push_back(std::move(frame));
     if (peer->onArrive)
         peer->onArrive(q);
@@ -73,7 +73,7 @@ NicEndpoint::receiveQueue(std::size_t q)
     if (Machine::hasCurrent()) {
         auto &m = Machine::current();
         m.consume(m.timing.nicFrame);
-        m.bump("nic.rx");
+        m.bump(Counter::NicRx);
     }
     NetBuf f = std::move(rx.front());
     rx.pop_front();

@@ -259,7 +259,7 @@ TcpSocket::handleData(const TcpHeader &h, NetBufView payload)
 
     // Entirely before rcvNxt: a true duplicate, nothing new to keep.
     if (seqLe(end, rcvNxt)) {
-        stack.mach.bump("tcp.duplicates");
+        stack.mach.bump(Counter::TcpDuplicates);
         sendControl(tcpAck);
         return;
     }
@@ -269,7 +269,7 @@ TcpSocket::handleData(const TcpHeader &h, NetBufView payload)
     if (seqLt(seq, rcvNxt)) {
         payload.pull(rcvNxt - seq);
         seq = rcvNxt;
-        stack.mach.bump("tcp.partialOverlaps");
+        stack.mach.bump(Counter::TcpPartialOverlaps);
     }
 
     if (seq == rcvNxt) {
@@ -341,7 +341,7 @@ TcpSocket::stashOutOfOrder(std::uint32_t seq, NetBufView payload)
             seq + static_cast<std::uint32_t>(payload.size());
         if (seqLt(seq, prevEnd)) {
             if (seqLe(end, prevEnd)) {
-                stack.mach.bump("tcp.duplicates");
+                stack.mach.bump(Counter::TcpDuplicates);
                 return; // fully inside an existing segment
             }
             payload.pull(prevEnd - seq);
@@ -380,11 +380,11 @@ TcpSocket::stashOutOfOrder(std::uint32_t seq, NetBufView payload)
     if (added) {
         oooBytes += added;
         stack.mach.consumePerByte(added, stack.mach.timing.copyPer16B);
-        stack.mach.bump("tcp.outOfOrder");
-        stack.mach.bump("tcp.oooBytes", added);
+        stack.mach.bump(Counter::TcpOutOfOrder);
+        stack.mach.bump(Counter::TcpOooBytes, added);
         enforceOooBound();
     } else {
-        stack.mach.bump("tcp.duplicates");
+        stack.mach.bump(Counter::TcpDuplicates);
     }
 }
 
@@ -399,7 +399,7 @@ TcpSocket::enforceOooBound()
         std::size_t n = last->second.size();
         oooBytes -= n;
         outOfOrder.erase(last);
-        stack.mach.bump("tcp.oooEvicted", n);
+        stack.mach.bump(Counter::TcpOooEvicted, n);
     }
 }
 
@@ -503,7 +503,7 @@ TcpSocket::onRetransmitTimeout()
     if (st == State::Closed)
         return;
 
-    stack.mach.bump("tcp.retransmits");
+    stack.mach.bump(Counter::TcpRetransmits);
     if (synInFlight) {
         stack.sendSegment(*this, st == State::SynRcvd
                                      ? std::uint8_t(tcpSyn | tcpAck)
@@ -635,7 +635,7 @@ NetStack::sendSegment(TcpSocket &sock, std::uint8_t flags,
 {
     mach.consume(mach.timing.packetProc);
     mach.consumePerByte(len, mach.timing.csumPer16B);
-    mach.bump("tcp.segmentsOut");
+    mach.bump(Counter::TcpSegmentsOut);
 
     NetBuf frame;
     if (len)
@@ -680,11 +680,11 @@ NetStack::handleFrame(NetBuf frame)
 
     Ip4Header ip;
     if (!ip.parse(frame.data(), frame.size())) {
-        mach.bump("ip.badHeader");
+        mach.bump(Counter::IpBadHeader);
         return;
     }
     if (ip.dst != ipAddr) {
-        mach.bump("ip.notMine");
+        mach.bump(Counter::IpNotMine);
         return;
     }
     if (ip.protocol != Ip4Header::protoTcp)
@@ -692,7 +692,7 @@ NetStack::handleFrame(NetBuf frame)
     frame.pull(Ip4Header::wireSize);
     std::size_t segLen = ip.totalLen - Ip4Header::wireSize;
     if (segLen < TcpHeader::wireSize || segLen > frame.size()) {
-        mach.bump("ip.truncated");
+        mach.bump(Counter::IpTruncated);
         return;
     }
 
@@ -702,7 +702,7 @@ NetStack::handleFrame(NetBuf frame)
     NetBufView seg = frame.view(0, segLen);
     TcpHeader tcp;
     if (!tcp.parse(seg.data(), seg.size(), ip.src, ip.dst)) {
-        mach.bump("tcp.badChecksum");
+        mach.bump(Counter::TcpBadChecksum);
         return;
     }
     NetBufView payload = seg.sub(TcpHeader::wireSize);
@@ -723,7 +723,7 @@ NetStack::handleFrame(NetBuf frame)
             listener->backlog) {
             // Backlog full: drop the SYN; the client's retransmission
             // retries once the queue drains.
-            mach.bump("tcp.backlogDrops");
+            mach.bump(Counter::TcpBacklogDrops);
             return;
         }
         TcpSocket *child = makeSocket();
@@ -746,7 +746,7 @@ NetStack::handleFrame(NetBuf frame)
         return;
     }
 
-    mach.bump("tcp.noMatch");
+    mach.bump(Counter::TcpNoMatch);
 }
 
 bool

@@ -74,7 +74,7 @@ PolicyController::record(const std::string &rule, const std::string &edge,
     traceRing.push_back({epochCount, rule, edge, level});
     if (traceRing.size() > traceCapacity)
         traceRing.pop_front();
-    img.machine().bump("controller.trace");
+    img.machine().bump(Counter::ControllerTrace);
 }
 
 GatePolicy
@@ -115,7 +115,7 @@ PolicyController::step()
 {
     Machine &mach = img.machine();
     ++epochCount;
-    mach.bump("controller.epochs");
+    mach.bump(Counter::ControllerEpochs);
 
     // Windowed sample: everything below reasons about THIS epoch's
     // activity, never the monotonic totals (satellite: counter-reset
@@ -150,7 +150,7 @@ PolicyController::step()
                 delta.find("gate.denied." + nameOf(f) + "->" + nameOf(t));
             if (it != delta.end() && it->second >= cfg.denyAlert) {
                 offender = true;
-                mach.bump("controller.alerts");
+                mach.bump(Counter::ControllerAlerts);
             }
         }
         if (!offender)
@@ -160,7 +160,7 @@ PolicyController::step()
                 continue;
             st.denyHardened = true;
             st.calm = 0;
-            mach.bump("controller.tightens");
+            mach.bump(Counter::ControllerTightens);
             record("deny-harden",
                    nameOf(pair.first) + "->" + nameOf(pair.second), -1);
         }
@@ -175,7 +175,7 @@ PolicyController::step()
             st.calm = 0;
             if (st.level < 3) {
                 ++st.level;
-                mach.bump("controller.tightens");
+                mach.bump(Counter::ControllerTightens);
                 record("tighten",
                        nameOf(pair.first) + "->" + nameOf(pair.second),
                        st.level);
@@ -187,7 +187,7 @@ PolicyController::step()
                 else
                     st.denyHardened = false;
                 st.calm = 0;
-                mach.bump("controller.relaxes");
+                mach.bump(Counter::ControllerRelaxes);
                 record("relax",
                        nameOf(pair.first) + "->" + nameOf(pair.second),
                        st.level);
@@ -206,13 +206,13 @@ PolicyController::step()
             if (depth > cfg.queueHigh && st.batch < maxBatchWidth) {
                 st.batch = std::min<std::uint64_t>(
                     maxBatchWidth, std::max<std::uint64_t>(2, st.batch * 2));
-                mach.bump("gate.batchWidthChanges");
+                mach.bump(Counter::GateBatchWidthChanges);
                 record("batch",
                        nameOf(pair.first) + "->" + nameOf(pair.second),
                        static_cast<int>(st.batch));
             } else if (depth == 0 && st.batch > floor) {
                 st.batch = std::max(floor, st.batch / 2);
-                mach.bump("gate.batchWidthChanges");
+                mach.bump(Counter::GateBatchWidthChanges);
                 record("batch",
                        nameOf(pair.first) + "->" + nameOf(pair.second),
                        static_cast<int>(st.batch));

@@ -360,7 +360,7 @@ Scheduler::serviceSleepers(bool mayAdvanceClock)
             // carries its deadline in readyAtCycles; dispatch jumps
             // its core's clock forward to it.
             due = true;
-            mach.bump("sched.idleJumps");
+            mach.bump(Counter::SchedIdleJumps);
         }
         if (!due)
             break;
@@ -422,7 +422,7 @@ Scheduler::stealWork()
             t->readyAtCycles = std::max(
                 t->readyAtCycles, mach.coreCycles(int(victim)));
             mach.chargeCore(int(thief), mach.timing.stealMigration);
-            mach.bump("sched.steals");
+            mach.bump(Counter::SchedSteals);
             runQueues[thief].push_back(t);
             break;
         }
@@ -594,7 +594,7 @@ Scheduler::wake(Thread *t)
     bool timedWaker = running && !running->freeRunning;
     if (timedWaker && !t->freeRunning && running->core != t->core) {
         mach.consume(mach.timing.ipi);
-        mach.bump("sched.ipis");
+        mach.bump(Counter::SchedIpis);
     }
     t->state_ = Thread::State::Ready;
     t->readyAtCycles = (timedWaker && !t->freeRunning)

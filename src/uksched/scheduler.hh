@@ -101,6 +101,22 @@ class Thread
      */
     bool pinned = false;
 
+    /**
+     * Crossing bookkeeping an image keeps on the thread itself, so a
+     * gate needs no per-thread map lookup: how many crossings the
+     * thread has in flight (a matrix swap from inside one is refused),
+     * and the boundary of its previous crossing (elision streaks),
+     * valid only while `streakStamp` equals the image's current stamp.
+     */
+    struct CrossingState
+    {
+        int depth = 0;
+        std::uint64_t streakStamp = 0;
+        int lastFrom = -1;
+        int lastTo = -1;
+    };
+    CrossingState crossing;
+
   private:
     friend class Scheduler;
 
@@ -290,6 +306,14 @@ class Scheduler
     /** True if any non-finished thread exists. */
     bool hasLiveThreads() const;
 
+    /**
+     * A stamp no earlier call returned. Images tag the crossing state
+     * they leave on threads with one, and take a new one to invalidate
+     * it all at once (matrix swap, shutdown); state another image left
+     * on the same thread never matches.
+     */
+    std::uint64_t freshStamp() { return ++stampSeq; }
+
   private:
     friend class WaitQueue;
 
@@ -367,6 +391,7 @@ class Scheduler
     fiber::Context schedCtx{};
     int nextId = 1;
     std::uint64_t switchCount = 0;
+    std::uint64_t stampSeq = 0;
     bool cancelling = false; ///< teardown: suspension points throw
 };
 

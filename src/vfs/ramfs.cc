@@ -42,7 +42,7 @@ RamfsNode::chargeOp(std::size_t bytes) const
         auto &m = Machine::current();
         m.consume(m.timing.ramfsOpBase);
         m.consumePerByte(bytes, m.timing.fsCopyPer16B);
-        m.bump("ramfs.ops");
+        m.bump(Counter::RamfsOps);
     }
 }
 

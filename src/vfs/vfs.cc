@@ -19,7 +19,7 @@ Vfs::chargeOp() const
     if (Machine::hasCurrent()) {
         auto &m = Machine::current();
         m.consume(m.timing.vfsOpBase);
-        m.bump("vfs.ops");
+        m.bump(Counter::VfsOps);
     }
 }
 

@@ -275,7 +275,7 @@ TEST(Integration, GateCountersMatchCommunicationPattern)
     // app->lwip crossings: at least one per request (recv), and the
     // reverse direction (returns are part of the same gate, so no
     // separate (1,0) record unless lwip calls out).
-    auto &crossings = dep.image().gateCrossings();
+    auto crossings = dep.image().gateCrossings();
     auto it = crossings.find({0, 1});
     ASSERT_NE(it, crossings.end());
     EXPECT_GE(it->second, 100u);
