@@ -98,7 +98,9 @@ Image::Image(Machine &m, Scheduler &s, SafetyConfig config,
         const CompartmentSpec &spec = cfg.compartment(compName);
         for (std::size_t i = 0; i < cfg.compartments.size(); ++i) {
             if (cfg.compartments[i].name == spec.name) {
-                libToComp[lib] = static_cast<int>(i);
+                Placement &p = placements[lib];
+                p.comp = static_cast<int>(i);
+                p.info = reg.contains(lib) ? &reg.get(lib) : nullptr;
                 break;
             }
         }
@@ -106,13 +108,13 @@ Image::Image(Machine &m, Scheduler &s, SafetyConfig config,
 
     // Resolve per-library hardening multipliers: compartment set plus
     // the component's own set (Figure 6 hardens per component).
-    for (const auto &[lib, compIdx] : libToComp) {
+    for (auto &[lib, p] : placements) {
         std::vector<Hardening> set =
-            cfg.compartments[static_cast<std::size_t>(compIdx)].hardening;
+            cfg.compartments[static_cast<std::size_t>(p.comp)].hardening;
         auto it = cfg.libHardening.find(lib);
         if (it != cfg.libHardening.end())
             set.insert(set.end(), it->second.begin(), it->second.end());
-        libMults[lib] = hardeningMultiplier(set, mach.timing);
+        p.mult = hardeningMultiplier(set, mach.timing);
     }
 
     // One backend per distinct mechanism; each boundary's crossing is
@@ -149,10 +151,10 @@ Image::rejectDeniedStaticEdges() const
         for (const std::string &callee : reg.get(lib).callees) {
             if (!reg.contains(callee))
                 continue;
-            auto it = libToComp.find(callee);
-            if (it == libToComp.end())
+            auto it = placements.find(callee);
+            if (it == placements.end())
                 continue; // unassigned TCB service: local to the caller
-            int to = it->second;
+            int to = it->second.comp;
             // Mirrors calleeOf: TCB libraries are local to callers
             // whose mechanism replicates the kernel.
             if (from == to ||
@@ -468,8 +470,8 @@ Image::boot()
         // Functional hardening is active when the compartment, or any
         // component placed in it, enables the mechanism.
         auto anyLibWants = [&](Hardening h) {
-            for (const auto &[lib, compIdx] : libToComp) {
-                if (compIdx != c->id)
+            for (const auto &[lib, p] : placements) {
+                if (p.comp != c->id)
                     continue;
                 auto it = cfg.libHardening.find(lib);
                 if (it == cfg.libHardening.end())
@@ -609,10 +611,10 @@ Image::compartmentAt(std::size_t idx)
 int
 Image::compartmentIndexOf(const std::string &lib) const
 {
-    auto it = libToComp.find(lib);
-    fatal_if(it == libToComp.end(), "library '", lib,
+    auto it = placements.find(lib);
+    fatal_if(it == placements.end(), "library '", lib,
              "' not assigned to any compartment");
-    return it->second;
+    return it->second.comp;
 }
 
 Compartment &
@@ -640,18 +642,23 @@ Image::entry(const std::string &calleeLib, const char *fnName) const
     GateSite site;
     site.lib = calleeLib;
     site.fn = fnName;
-    site.mult = libMultiplier(calleeLib);
-    // Unknown or unplaced non-TCB libraries keep `notInImage`: a call
-    // through the site raises (raiseUnresolved).
-    if (!reg.contains(calleeLib))
+    auto it = placements.find(calleeLib);
+    const LibraryInfo *info = nullptr;
+    if (it != placements.end()) {
+        info = it->second.info;
+        site.mult = it->second.mult;
+    } else if (reg.contains(calleeLib)) {
+        info = &reg.get(calleeLib);
+    }
+    // Unknown libraries, and unplaced ones outside the TCB, keep
+    // `notInImage`: a call through the site raises (raiseUnresolved).
+    if (!info)
         return site;
-    const LibraryInfo &info = reg.get(calleeLib);
-    site.tcb = info.tcb;
-    site.entryValid = info.entryPoints.count(fnName) != 0;
-    auto it = libToComp.find(calleeLib);
-    if (it != libToComp.end())
-        site.home = it->second;
-    else if (info.tcb)
+    site.tcb = info->tcb;
+    site.entryValid = info->entryPoints.count(fnName) != 0;
+    if (it != placements.end())
+        site.home = it->second.comp;
+    else if (info->tcb)
         site.home = GateSite::callerLocal;
     return site;
 }
@@ -697,9 +704,9 @@ Image::checkEntry(const GateSite &site, int from, int to,
 double
 Image::libMultiplier(const std::string &lib) const
 {
-    auto it = libMults.find(lib);
-    if (it != libMults.end())
-        return it->second;
+    auto it = placements.find(lib);
+    if (it != placements.end())
+        return it->second.mult;
     // Unassigned TCB services execute in the caller's compartment and
     // inherit no extra instrumentation.
     return 1.0;

@@ -665,7 +665,16 @@ class Image
     WaitQueue quiesceWait;
 
     std::vector<std::unique_ptr<Compartment>> comps;
-    std::map<std::string, int> libToComp;
+    /** Where a placed library lives and what a gate into it costs. */
+    struct Placement
+    {
+        int comp = 0;       ///< compartment index
+        double mult = 1.0;  ///< hardening multiplier (libMultiplier)
+        /** Registry entry, or null for a library it does not know. */
+        const LibraryInfo *info = nullptr;
+    };
+    /** Every library the config places, by name. */
+    std::map<std::string, Placement, std::less<>> placements;
     /** Per compartment: its mechanism replicates the TCB (EPT). */
     std::vector<char> replicatesTcb;
     /** Per compartment: CFI hardening (gates check entry points). */
@@ -683,7 +692,6 @@ class Image
     std::vector<char> sharedArena;
     std::unique_ptr<TlsfAllocator> sharedHeapAlloc;
 
-    std::map<std::string, double> libMults;
     /** Row-major [from * n + to] buckets for rate-limited boundaries. */
     std::vector<GateBucket> gateBuckets;
     /** Core each compartment last executed on (-1 = never entered). */

@@ -34,7 +34,7 @@ struct LibraryInfo
     bool tcb = false;
 
     /** Legal cross-compartment entry points (gate/CFI targets). */
-    std::set<std::string> entryPoints;
+    std::set<std::string, std::less<>> entryPoints;
 
     /** Libraries this one calls (static call-graph edges). */
     std::set<std::string> callees;

@@ -13,9 +13,9 @@
  * spells the names only when counters are dumped (see CounterEdge,
  * CounterFrom and Machine::stall).
  *
- * Adding a counter: add one X(Id, "dotted.name") row below, keeping
- * the rows sorted by name (byte order; a static_assert checks it),
- * and bump it with `mach.bump(Counter::Id)`.
+ * Adding a counter: add one X(Id, "dotted.name") row below (rows are
+ * kept sorted by name) and bump it with `mach.bump(Counter::Id)`; the
+ * by-name lookup picks it up through a compile-time hash index.
  */
 
 #ifndef FLEXOS_MACHINE_COUNTERS_HH
@@ -113,7 +113,7 @@ enum class Counter : std::uint8_t
 #undef FLEXOS_COUNTER_ID
 };
 
-/** The names, indexed by Counter, sorted so lookups can bisect. */
+/** The names, indexed by Counter. */
 inline constexpr std::array counterNames = {
 #define FLEXOS_COUNTER_NAME(id, name) std::string_view(name),
     FLEXOS_COUNTERS(FLEXOS_COUNTER_NAME)
@@ -122,15 +122,6 @@ inline constexpr std::array counterNames = {
 
 inline constexpr std::size_t counterCount = counterNames.size();
 
-static_assert(
-    [] {
-        for (std::size_t i = 1; i < counterCount; ++i)
-            if (!(counterNames[i - 1] < counterNames[i]))
-                return false;
-        return true;
-    }(),
-    "FLEXOS_COUNTERS rows must be sorted by name");
-
 /** The printable name of a counter slot. */
 constexpr std::string_view
 counterName(Counter c)
@@ -138,20 +129,43 @@ counterName(Counter c)
     return counterNames[static_cast<std::size_t>(c)];
 }
 
+namespace detail {
+
+/** FNV-1a: the hash of the by-name counter index. */
+constexpr std::uint32_t
+counterHash(std::string_view s)
+{
+    std::uint32_t h = 0x811c9dc5u;
+    for (char ch : s)
+        h = (h ^ static_cast<unsigned char>(ch)) * 0x01000193u;
+    return h;
+}
+
+/** Open-addressed index from name hash to Counter + 1 (0 = empty),
+ *  built at compile time; at most a third full. */
+inline constexpr auto counterIndex = [] {
+    std::array<std::uint8_t, 256> index{};
+    static_assert(counterCount * 3 <= index.size());
+    for (std::size_t i = 0; i < counterCount; ++i) {
+        std::size_t h = counterHash(counterNames[i]) % index.size();
+        while (index[h])
+            h = (h + 1) % index.size();
+        index[h] = static_cast<std::uint8_t>(i + 1);
+    }
+    return index;
+}();
+
+} // namespace detail
+
 /** The slot of a literal counter name, if it has one. */
 constexpr std::optional<Counter>
 counterNamed(std::string_view name)
 {
-    std::size_t lo = 0, hi = counterCount;
-    while (lo < hi) {
-        std::size_t mid = (lo + hi) / 2;
-        if (counterNames[mid] < name)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo < counterCount && counterNames[lo] == name)
-        return static_cast<Counter>(lo);
+    const auto &index = detail::counterIndex;
+    for (std::size_t h = detail::counterHash(name) % index.size(); index[h];
+         h = (h + 1) % index.size())
+        if (counterNames[index[h] - 1u] == name)
+            return static_cast<Counter>(index[h] - 1u);
     return std::nullopt;
 }
 

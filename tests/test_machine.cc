@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,62 @@ TEST(Machine, CountersAccumulate)
     m.bump("gates.mpk", 4);
     EXPECT_EQ(m.counter("gates.mpk"), 5u);
     EXPECT_EQ(m.counter("missing"), 0u);
+}
+
+TEST(Machine, EveryCounterNameFindsItsSlot)
+{
+    // The by-name index covers the whole table and nothing else.
+    for (std::size_t i = 0; i < counterCount; ++i) {
+        auto c = counterNamed(counterNames[i]);
+        ASSERT_TRUE(c.has_value()) << counterNames[i];
+        EXPECT_EQ(static_cast<std::size_t>(*c), i);
+    }
+    EXPECT_FALSE(counterNamed("gates.mpk").has_value());
+    EXPECT_FALSE(counterNamed("gate.denied.a->b").has_value());
+    EXPECT_FALSE(counterNamed("").has_value());
+
+    // A name bumped by string lands in the same slot as the enum.
+    Machine m;
+    m.bump("gate.direct", 2);
+    m.bump(Counter::GateDirect);
+    EXPECT_EQ(m.counter(Counter::GateDirect), 3u);
+    EXPECT_EQ(m.counter("gate.direct"), 3u);
+}
+
+TEST(Machine, CounterDumpSpellsOutEveryFamily)
+{
+    Machine m(TimingModel{}, 2);
+    int a = m.counterCompartment("app");
+    int b = m.counterCompartment("net");
+    EXPECT_EQ(m.counterCompartment("app"), a);
+    m.bump(CounterEdge::Denied, a, b);
+    m.bump(CounterEdge::Throttled, b, a, 2);
+    m.bump(CounterEdge::ValidateReject, a, a);
+    m.bump(CounterFrom::Throttled, b, 3);
+    m.stall(7);
+    m.bump(Counter::GateBatched, 0); // bumped by 0: the key exists
+    m.bump("test.other", 4);
+    m.bump("gate.denied.app->net"); // a family name bumped by string
+    std::map<std::string, std::uint64_t> want = {
+        {"gate.batched", 0},
+        {"gate.denied.app->net", 2},
+        {"gate.throttled.net", 3},
+        {"gate.throttled.net->app", 2},
+        {"gate.validate.reject.app->app", 1},
+        {"machine.stallCycles", 7},
+        {"machine.stallCycles.core0", 7},
+        {"test.other", 4},
+    };
+    EXPECT_EQ(m.counters(), want);
+    EXPECT_EQ(m.counter("gate.throttled.net->app"), 2u);
+    EXPECT_EQ(m.counter("gate.denied.app->net"), 2u);
+    EXPECT_EQ(m.counter("gate.denied.net->app"), 0u);
+
+    // Compartments registered after bumps keep the earlier totals.
+    for (int i = 0; i < 20; ++i)
+        m.counterCompartment("c" + std::to_string(i));
+    EXPECT_EQ(m.counter("gate.throttled.net->app"), 2u);
+    EXPECT_EQ(m.counter("gate.validate.reject.app->app"), 1u);
 }
 
 TEST(MachineScope, NestsAndRestores)
