@@ -681,7 +681,7 @@ Image::currentHardening() const
 
 void
 Image::checkEntry(const GateSite &site, int from, int to,
-                  const GatePolicy &pol)
+                  const GatePolicy &pol) const
 {
     bool enforce = pol.validateEntry ||
                    backendOf(pol.mech).checksEntryPoints() ||

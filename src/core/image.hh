@@ -559,7 +559,7 @@ class Image
      * the adversary scorecard can pin rejections to the attacked edge.
      */
     void checkEntry(const GateSite &site, int from, int to,
-                    const GatePolicy &pol);
+                    const GatePolicy &pol) const;
     /**
      * Least-privilege enforcement of one crossing: raises
      * DeniedCrossing on a denied edge, and debits the boundary's
