@@ -122,13 +122,6 @@ inline constexpr std::array counterNames = {
 
 inline constexpr std::size_t counterCount = counterNames.size();
 
-/** The printable name of a counter slot. */
-constexpr std::string_view
-counterName(Counter c)
-{
-    return counterNames[static_cast<std::size_t>(c)];
-}
-
 namespace detail {
 
 /** FNV-1a: the hash of the by-name counter index. */
