@@ -77,9 +77,12 @@ struct Target
 /** Targets across a (libredis, uktime), b (lwip), c (vfscore) and the
  *  TCB memory manager (caller-local unless placed in a). */
 const Target targets[] = {
-    {"lwip", "recv"},         {"lwip", "send"},
-    {"vfscore", "read"},      {"vfscore", "open"},
-    {"uktime", "clock_gettime"}, {"libredis", "redis_main"},
+    {"lwip", "recv"},
+    {"lwip", "send"},
+    {"vfscore", "read"},
+    {"vfscore", "open"},
+    {"uktime", "clock_gettime"},
+    {"libredis", "redis_main"},
     {"ukalloc", "malloc"},
 };
 
@@ -221,7 +224,9 @@ class Scenario
                 op(/*inThread=*/false, 1);
         }
         // A fiber-side swap waits for every core to acknowledge the
-        // epoch; it only runs on one core here (see CHANGES.md).
+        // epoch, and can spin forever while another core holds only
+        // a future-ready thread (a known fault), so it runs on one
+        // core only.
         for (int t = 0; t < 3; ++t)
             spawnWorker(t, /*swapper=*/t == 2 && mach.coreCount() == 1);
         sched.run();
@@ -372,9 +377,10 @@ class Scenario
                   auto b = body(inThread, 0);
                   guarded([&] { img->gateDeferred(t.lib, fn, b); });
               }
-              // Leave nothing queued behind the next crossing: flush
-              // explicitly or through the scheduler's pre-suspension
-              // hook, which a yield fires.
+              // Leave nothing queued behind the next crossing (a plain
+              // EPT crossing with calls queued can lose its wakeup, a
+              // known fault): flush explicitly or through the
+              // scheduler's pre-suspension hook, which a yield fires.
               if (inThread && rng.chance(1, 2))
                   guarded([&] { sched.yield(); });
               else
