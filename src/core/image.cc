@@ -214,15 +214,14 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
     b.lastRefill = now;
 
     if (b.tokens < 1.0) {
-        int fromId = counterIds[static_cast<std::size_t>(from)];
-        int toId = counterIds[static_cast<std::size_t>(to)];
         mach.bump(Counter::GateThrottled);
-        // Per-caller breakdown: who is being back-pressured matters
-        // for QoS tuning (which `weight:` to raise).
-        mach.bump(CounterFrom::Throttled, fromId);
         // Per-edge breakdown: the controller's relax rule reads this
         // to see whether a tightened budget still actively constrains.
-        mach.bump(CounterEdge::Throttled, fromId, toId);
+        // Its per-caller sum, `gate.throttled.<from>`, tells who is
+        // being back-pressured (which `weight:` to raise for QoS).
+        mach.bump(CounterEdge::Throttled,
+                  counterIds[static_cast<std::size_t>(from)],
+                  counterIds[static_cast<std::size_t>(to)]);
         if (pol.overflow == RateOverflow::Fail)
             throw ThrottledCrossing(
                 cfg.compartments[static_cast<std::size_t>(from)].name,

@@ -9,9 +9,11 @@
  * shared mutable state.
  *
  * Five name families carry compartment or core names in the key; the
- * machine keeps them in dense [from][to], [from] and [core] arrays and
- * spells the names only when counters are dumped (see CounterEdge,
- * CounterFrom and Machine::stall).
+ * machine keeps them in dense [from][to] and [core] arrays and spells
+ * the names only when counters are dumped (see CounterEdge and
+ * Machine::stall). The per-caller `gate.throttled.<from>` is the sum
+ * of its `gate.throttled.<from>-><to>` edges, which every throttle
+ * bumps, so it is derived at dump time rather than stored.
  *
  * Adding a counter: add one X(Id, "dotted.name") row below (rows are
  * kept sorted by name) and bump it with `mach.bump(Counter::Id)`; the
@@ -168,12 +170,6 @@ enum class CounterEdge : std::uint8_t
     Denied,         ///< gate.denied.<from>-><to>
     Throttled,      ///< gate.throttled.<from>-><to>
     ValidateReject, ///< gate.validate.reject.<from>-><to>
-};
-
-/** Per-caller counter families, named `<prefix><from>`. */
-enum class CounterFrom : std::uint8_t
-{
-    Throttled, ///< gate.throttled.<from>
 };
 
 } // namespace flexos

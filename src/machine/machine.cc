@@ -185,8 +185,6 @@ Machine::counterCompartment(const std::string &name)
                     grown[f * stride + t] = cells[f * edgeStride + t];
             cells = std::move(grown);
         }
-        for (auto &cells : fromSlots)
-            cells.resize(stride);
         edgeStride = stride;
     }
     return static_cast<int>(counterComps.size() - 1);
@@ -222,12 +220,18 @@ Machine::counters() const
             for (std::size_t t = 0; t < n; ++t)
                 put(edgePrefix[k] + counterComps[f] + "->" + counterComps[t],
                     edgeSlots[k][f * edgeStride + t]);
-    static constexpr const char *fromPrefix[] = {"gate.throttled."};
-    static_assert(std::size(fromPrefix) ==
-                  std::tuple_size_v<decltype(fromSlots)>);
-    for (std::size_t k = 0; k < fromSlots.size(); ++k)
-        for (std::size_t f = 0; f < n; ++f)
-            put(fromPrefix[k] + counterComps[f], fromSlots[k][f]);
+    // gate.throttled.<from>: the caller's throttled edges, summed.
+    const auto &throttled =
+        edgeSlots[index(CounterEdge::Throttled)];
+    for (std::size_t f = 0; f < n; ++f) {
+        Slot total;
+        for (std::size_t t = 0; t < n; ++t) {
+            const Slot &s = throttled[f * edgeStride + t];
+            total.value += s.value;
+            total.touched = total.touched || s.touched;
+        }
+        put("gate.throttled." + counterComps[f], total);
+    }
     for (std::size_t c = 0; c < coreStall.size(); ++c)
         put("machine.stallCycles.core" + std::to_string(c), coreStall[c]);
     return out;

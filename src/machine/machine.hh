@@ -228,13 +228,6 @@ class Machine
             n);
     }
 
-    /** Bump a per-caller counter (`from` as for the edge overload). */
-    void
-    bump(CounterFrom kind, int from, std::uint64_t n = 1)
-    {
-        add(fromSlots[index(kind)][static_cast<std::size_t>(from)], n);
-    }
-
     /**
      * Bump a counter by name: a name in the Counter table lands in its
      * slot; any other name is kept as given (tests, probes).
@@ -311,8 +304,6 @@ class Machine
     std::size_t edgeStride = 0;
     /** [kind][from * edgeStride + to] */
     std::array<std::vector<Slot>, 3> edgeSlots;
-    /** [kind][from] */
-    std::array<std::vector<Slot>, 1> fromSlots;
     /** machine.stallCycles.core<N>, by core. */
     std::vector<Slot> coreStall;
 

@@ -296,7 +296,7 @@ TEST(Machine, CounterDumpSpellsOutEveryFamily)
     m.bump(CounterEdge::Denied, a, b);
     m.bump(CounterEdge::Throttled, b, a, 2);
     m.bump(CounterEdge::ValidateReject, a, a);
-    m.bump(CounterFrom::Throttled, b, 3);
+    m.bump(CounterEdge::Throttled, b, b);
     m.stall(7);
     m.bump(Counter::GateBatched, 0); // bumped by 0: the key exists
     m.bump("test.other", 4);
@@ -306,6 +306,7 @@ TEST(Machine, CounterDumpSpellsOutEveryFamily)
         {"gate.denied.app->net", 2},
         {"gate.throttled.net", 3},
         {"gate.throttled.net->app", 2},
+        {"gate.throttled.net->net", 1},
         {"gate.validate.reject.app->app", 1},
         {"machine.stallCycles", 7},
         {"machine.stallCycles.core0", 7},
