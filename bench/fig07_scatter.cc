@@ -114,10 +114,11 @@ attackerLoop(Deployment &dep, const bool &stop)
         // The deny witness the controller's alert rule picks up.
     }
     constexpr std::uint64_t burst = 400;
+    const GateSite yield = img.entry("uksched", "yield");
     while (!stop) {
         try {
             for (std::uint64_t i = 0; i < burst && !stop; ++i)
-                img.gate("uksched", "yield", [] {});
+                img.gate(yield, [] {});
         } catch (const ThrottledCrossing &) {
             dep.scheduler().sleepNs(2'000'000);
         }
