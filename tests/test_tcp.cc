@@ -2,12 +2,15 @@
  * @file
  * Tests for the TCP/IP stack: wire formats, checksums, handshake, data
  * transfer, flow control, teardown, and property tests under loss and
- * reordering injected at the NIC.
+ * reordering injected at the NIC, plus a differential test of the
+ * retransmission timer queue against a linear-scan reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -804,6 +807,182 @@ TEST_F(TcpFixture, ReassemblesReorderedSegments)
     ASSERT_TRUE(sched.runUntil(
         [&] { return received.size() == total; }, 5'000'000));
     EXPECT_EQ(received, sent);
+}
+
+/**
+ * Reference timer queue: the original linear-scan implementation, a
+ * deadline heap plus a list of cancelled ids scanned on every pop.
+ * Slow but obviously right; TimerQueue must behave exactly like it.
+ */
+class LinearScanTimerQueue
+{
+  public:
+    using Callback = std::function<void()>;
+
+    explicit LinearScanTimerQueue(Machine &m) : mach(m) {}
+
+    std::uint64_t
+    arm(std::uint64_t delayNs, Callback cb)
+    {
+        std::uint64_t id = nextId++;
+        pending.push(Entry{mach.nanoseconds() + delayNs, id,
+                           std::move(cb)});
+        return id;
+    }
+
+    void cancel(std::uint64_t id) { cancelled.push_back(id); }
+
+    std::size_t
+    poll()
+    {
+        std::size_t fired = 0;
+        while (!pending.empty() &&
+               pending.top().deadlineNs <= mach.nanoseconds()) {
+            Entry e = pending.top();
+            pending.pop();
+            if (isCancelled(e.id))
+                continue;
+            e.cb();
+            ++fired;
+        }
+        return fired;
+    }
+
+    std::uint64_t
+    nextDeadlineNs() const
+    {
+        return pending.empty() ? UINT64_MAX : pending.top().deadlineNs;
+    }
+
+    bool empty() const { return pending.empty(); }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t deadlineNs;
+        std::uint64_t id;
+        Callback cb;
+    };
+
+    struct Order
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            return a.deadlineNs > b.deadlineNs;
+        }
+    };
+
+    bool
+    isCancelled(std::uint64_t id)
+    {
+        for (auto it = cancelled.begin(); it != cancelled.end(); ++it) {
+            if (*it == id) {
+                cancelled.erase(it);
+                return true;
+            }
+        }
+        return false;
+    }
+
+    Machine &mach;
+    std::priority_queue<Entry, std::vector<Entry>, Order> pending;
+    std::vector<std::uint64_t> cancelled;
+    std::uint64_t nextId = 1;
+};
+
+/**
+ * One queue under test plus what its callbacks observed. Timers are
+ * named by arm order (their tag), so two queues handing out different
+ * ids can still be driven with the same operations.
+ */
+template <typename Queue>
+struct TimerSide
+{
+    explicit TimerSide(Machine &m) : q(m) {}
+
+    /** Arm timer number ids.size(); some callbacks re-arm or cancel. */
+    void
+    arm(std::uint64_t delayNs)
+    {
+        std::size_t tag = ids.size();
+        ids.push_back(q.arm(delayNs, [this, tag] {
+            fired.push_back(tag);
+            if (tag % 5 == 0)
+                arm(tag % 3 * 40); // re-arm from inside poll()
+            if (tag % 7 == 0 && tag >= 2)
+                q.cancel(ids[tag - 2]);
+        }));
+    }
+
+    Queue q;
+    std::vector<std::uint64_t> ids;
+    std::vector<std::size_t> fired;
+};
+
+TEST(TimerQueue, MatchesLinearScanReferenceUnderRandomOps)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        // Two cores: switching the active core moves the clock the
+        // queues read backwards or forwards.
+        Machine mach(TimingModel{}, 2);
+        TimerSide<TimerQueue> fast(mach);
+        TimerSide<LinearScanTimerQueue> ref(mach);
+        std::size_t polls = 0, firedTotal = 0;
+        for (int step = 0; step < 2000; ++step) {
+            switch (rng.below(10)) {
+              case 0:
+              case 1:
+              case 2: {
+                  // Few distinct delays: many equal deadlines.
+                  std::uint64_t delay = rng.below(6) * 50;
+                  fast.arm(delay);
+                  ref.arm(delay);
+                  break;
+              }
+              case 3:
+              case 4: {
+                  // Any timer ever armed: live, fired, or already
+                  // cancelled (a double cancel).
+                  if (fast.ids.empty())
+                      break;
+                  std::size_t tag = rng.below(fast.ids.size());
+                  fast.q.cancel(fast.ids[tag]);
+                  ref.q.cancel(ref.ids[tag]);
+                  break;
+              }
+              case 5:
+              case 6: {
+                  std::size_t a = fast.q.poll();
+                  std::size_t b = ref.q.poll();
+                  ASSERT_EQ(a, b) << "poll() count at step " << step;
+                  ++polls;
+                  firedTotal += a;
+                  break;
+              }
+              case 7:
+                  mach.consume(rng.below(400));
+                  break;
+              case 8:
+                  mach.setActiveCore(static_cast<int>(rng.below(2)));
+                  break;
+              case 9:
+                  // A clock jump: an idle core skips far ahead.
+                  mach.advanceCoreTo(
+                      static_cast<int>(rng.below(2)),
+                      mach.wallCycles() + rng.below(2000));
+                  break;
+            }
+            ASSERT_EQ(fast.fired, ref.fired) << "fire order at step " << step;
+            ASSERT_EQ(fast.q.nextDeadlineNs(), ref.q.nextDeadlineNs())
+                << "nextDeadlineNs() at step " << step;
+            ASSERT_EQ(fast.q.empty(), ref.q.empty()) << "at step " << step;
+        }
+        EXPECT_GT(polls, 0u);
+        EXPECT_GT(firedTotal, 0u);
+    }
 }
 
 } // namespace
