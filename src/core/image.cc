@@ -961,7 +961,10 @@ Image::ackCoresAfterSwap()
     // A core acknowledges the new epoch by dispatching a thread after
     // the flip (every dispatch is a policy-safe point: the thread it
     // resumes is outside any crossing, by quiescence). Cores with no
-    // runnable work are idle — trivially at a safe point.
+    // runnable work are idle — trivially at a safe point. So is, for a
+    // swapper on a fiber, a core whose queued threads are all ready
+    // only in its future: the swapper's own yields are always due
+    // first, so that core would never get to dispatch them.
     Thread *self = sched.current();
     int selfCore = self ? mach.activeCore() : -1;
     std::size_t cores = mach.coreCount();
@@ -976,7 +979,7 @@ Image::ackCoresAfterSwap()
             continue;
         }
         if (self) {
-            while (sched.coreHasRunnable(core) &&
+            while (sched.coreHasDueWork(core) &&
                    sched.dispatchesOn(core) == mark[c])
                 sched.yield();
         } else if (sched.coreHasRunnable(core)) {

@@ -502,11 +502,16 @@ Scheduler::runUntil(const std::function<bool()> &pred,
     return true;
 }
 
-void
+bool
 Scheduler::preSuspend(Thread *self)
 {
-    if (onPreSuspend && !cancelling)
-        onPreSuspend(*self);
+    if (!onPreSuspend || cancelling)
+        return false;
+    // Cooperative: nothing else runs unless the hook itself suspends,
+    // and then at least this thread's own re-dispatch is counted.
+    std::uint64_t before = switchCount;
+    onPreSuspend(*self);
+    return switchCount != before;
 }
 
 void
@@ -525,7 +530,12 @@ Scheduler::block(WaitQueue &q)
 {
     Thread *self = running;
     panic_if(!self, "block outside a thread");
-    preSuspend(self);
+    // A hook that suspended let other threads run: the wakeup this
+    // thread is about to wait for may already have happened while it
+    // sat in no queue. Return instead; every wait() caller re-checks
+    // its condition and waits again if it still does not hold.
+    if (preSuspend(self))
+        return;
     self->state_ = Thread::State::Blocked;
     q.waiters.push_back(self);
     switchOut();
@@ -551,7 +561,10 @@ Scheduler::blockFor(WaitQueue &q, std::uint64_t ns)
 {
     Thread *self = running;
     panic_if(!self, "blockFor outside a thread");
-    preSuspend(self);
+    // As in block(): a hook that suspended ends the wait early. That
+    // is a spurious wakeup, not a timeout — the time has not elapsed.
+    if (preSuspend(self))
+        return true;
     self->state_ = Thread::State::Blocked;
     q.waiters.push_back(self);
     self->wakeAtCycles =
@@ -619,6 +632,17 @@ Scheduler::coreHasRunnable(int core) const
                  static_cast<std::size_t>(core) >= runQueues.size(),
              "core ", core, " out of range");
     return !runQueues[static_cast<std::size_t>(core)].empty();
+}
+
+bool
+Scheduler::coreHasDueWork(int core) const
+{
+    Cycles now = mach.coreCycles(core); // panics on a bad core index
+    for (const Thread *t : runQueues[static_cast<std::size_t>(core)]) {
+        if (t->readyAtCycles <= now)
+            return true;
+    }
+    return false;
 }
 
 bool

@@ -182,8 +182,10 @@ class Scheduler
      * threads can be stolen or woken cross-core, so firing here
      * guarantees no batch ever rides a migration. The hook may itself
      * suspend (the flush can block on an RPC); re-entry sees the
-     * flushed state and is a no-op. Cleared by cancelAll() alongside
-     * the other hooks so teardown unwinding never runs gate work.
+     * flushed state and is a no-op, and a block() or blockFor() whose
+     * hook suspended returns without queueing. Cleared by cancelAll()
+     * alongside the other hooks so teardown unwinding never runs gate
+     * work.
      */
     std::function<void(Thread &)> onPreSuspend;
     /** @} */
@@ -245,12 +247,20 @@ class Scheduler
     /** @name Calls made from inside threads. @{ */
     /** Cooperatively give up the CPU (stay runnable). */
     void yield();
-    /** Block the calling thread on a wait queue. */
+    /**
+     * Block the calling thread on a wait queue. May return without
+     * blocking when the pre-suspension hook suspended the thread (a
+     * wakeup may have come and gone meanwhile), so callers wait in a
+     * loop that re-checks their condition.
+     */
     void block(WaitQueue &q);
     /**
      * Block on a wait queue with a timeout of ns virtual nanoseconds.
-     * @return true if woken through the queue, false on timeout (the
-     *         thread has been removed from the queue).
+     * Returns early, like block(), when the pre-suspension hook
+     * suspended the thread.
+     * @return false on timeout (the thread has been removed from the
+     *         queue), true otherwise: woken through the queue, or an
+     *         early return before the time elapsed
      */
     bool blockFor(WaitQueue &q, std::uint64_t ns);
     /** Sleep the calling thread for ns virtual nanoseconds. */
@@ -300,6 +310,13 @@ class Scheduler
     /** Whether a core's run queue holds a Ready thread right now. */
     bool coreHasRunnable(int core) const;
 
+    /**
+     * Whether a core's run queue holds a thread already due on that
+     * core's clock. A core whose queued threads are all ready only in
+     * its future is idle until another core's work lets time pass.
+     */
+    bool coreHasDueWork(int core) const;
+
     /** Threads that have been spawned and not yet destroyed. */
     std::size_t threadCount() const { return threads.size(); }
 
@@ -320,8 +337,11 @@ class Scheduler
     void switchTo(Thread *t);
     void switchOut();
 
-    /** Fire the pre-suspension hook (batch flush) unless tearing down. */
-    void preSuspend(Thread *self);
+    /**
+     * Fire the pre-suspension hook (batch flush) unless tearing down.
+     * @return whether the hook itself suspended the thread
+     */
+    bool preSuspend(Thread *self);
     void threadMain();
     static void trampoline();
 

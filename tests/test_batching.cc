@@ -4,8 +4,8 @@
  * parse + toText round-trip and wildcard layering, the crossing
  * contract on every mechanism (batch: 1 vcycle identity, exact chunk
  * arithmetic, the ledger after a throwing body), per-logical-call
- * throttle debiting, elision streaks resetting on interleaved
- * boundaries, RX integrity under the deployment's batched drain, and
+ * throttle debiting, a plain EPT crossing made with deferred calls
+ * queued, elision streaks resetting on interleaved boundaries, RX integrity under the deployment's batched drain, and
  * the monotone product-space pruner against brute force.
  */
 
@@ -458,6 +458,34 @@ TEST_F(BatchingFixture, ThrottleDebitsPerLogicalCallNotPerDoorbell)
     EXPECT_EQ(mach.counter("gate.batched"), 1u);
     EXPECT_EQ(mach.counter("gate.batchedCalls"), 4u);
     EXPECT_EQ(mach.counter("gate.throttled"), 1u);
+    img->shutdown();
+}
+
+TEST_F(BatchingFixture, PlainEptCrossingWithCallsQueuedKeepsItsWakeup)
+{
+    // Regression: a plain EPT crossing waits for its RPC on a wait
+    // queue, and blocking there fires the pre-suspension hook, which
+    // flushes the queued deferred call through a second RPC. The first
+    // RPC completes while the caller waits on the second; its wakeup
+    // must not be lost, or the caller stays Blocked forever.
+    auto img = buildFrom(std::string("compartments:\n") +
+                         "- a:\n    mechanism: vm-ept\n    default: True\n" +
+                         "- b:\n    mechanism: vm-ept\n" +
+                         "libraries:\n- libredis: a\n- lwip: b\n" +
+                         "boundaries:\n- a -> b: {batch: 4}\n");
+    int sent = 0, received = 0;
+    bool done = false;
+    img->spawnIn("libredis", "t", [&] {
+        img->gateDeferred("lwip", "send", [&] { ++sent; });
+        img->gate("lwip", "recv", [&] { ++received; });
+        done = true;
+    });
+    EXPECT_TRUE(sched.runUntil([&] { return done; }, 100'000));
+    EXPECT_EQ(sent, 1);
+    EXPECT_EQ(received, 1);
+    EXPECT_EQ(img->activeCrossings(), 0);
+    // Both logical calls crossed a -> b: the flushed one and the plain one.
+    EXPECT_EQ(img->gateCrossings().at({0, 1}), 2u);
     img->shutdown();
 }
 

@@ -6,9 +6,11 @@
  * under random boundary policies — deny, rate with fail or stall and
  * weight, validate, validate_return, elide, batch, scrub,
  * stack_sharing — on one and two cores, with matrix swaps from a fiber
- * and from the driver. Every scenario's counters, crossing ledger,
- * boundary statistics and per-core clocks are dumped and compared
- * with tests/golden/gate_path.txt.
+ * and from the driver. Wide scenarios run on two cores, swap from a
+ * fiber there too, and leave deferred calls queued across later
+ * crossings. Every scenario's counters, crossing ledger, boundary
+ * statistics and per-core clocks are dumped and compared with
+ * tests/golden/gate_path.txt.
  *
  * The golden is the behaviour contract of the crossing path: a host
  * fast-path change must leave it byte-identical. Regenerate it (only
@@ -189,9 +191,14 @@ struct Tally
 class Scenario
 {
   public:
-    Scenario(const Shape &shape, std::uint64_t seed)
-        : shape(shape), rng(seed * 7919 + nameHash(shape.name)),
-          mach(TimingModel{}, 1 + static_cast<unsigned>(seed % 2)),
+    /**
+     * A wide scenario runs on two cores, swaps from a fiber there, and
+     * may leave deferred calls queued behind the crossings that follow.
+     */
+    Scenario(const Shape &shape, std::uint64_t seed, bool wide = false)
+        : shape(shape), wide(wide),
+          rng(seed * 7919 + nameHash(shape.name) + (wide ? 104729 : 0)),
+          mach(TimingModel{}, wide ? 2 : 1 + static_cast<unsigned>(seed % 2)),
           scope(mach), sched(mach), reg(LibraryRegistry::standard()),
           tc(reg)
     {
@@ -223,12 +230,11 @@ class Scenario
             for (int i = 0; i < 12; ++i)
                 op(/*inThread=*/false, 1);
         }
-        // A fiber-side swap waits for every core to acknowledge the
-        // epoch, and can spin forever while another core holds only
-        // a future-ready thread (a known fault), so it runs on one
-        // core only.
+        // The original scenarios swap from a fiber on one core only;
+        // wide ones do it on two.
         for (int t = 0; t < 3; ++t)
-            spawnWorker(t, /*swapper=*/t == 2 && mach.coreCount() == 1);
+            spawnWorker(t, /*swapper=*/t == 2 &&
+                               (wide || mach.coreCount() == 1));
         sched.run();
         swapRandom();
         for (int t = 0; t < 2; ++t)
@@ -377,10 +383,12 @@ class Scenario
                   auto b = body(inThread, 0);
                   guarded([&] { img->gateDeferred(t.lib, fn, b); });
               }
-              // Leave nothing queued behind the next crossing (a plain
-              // EPT crossing with calls queued can lose its wakeup, a
-              // known fault): flush explicitly or through the
-              // scheduler's pre-suspension hook, which a yield fires.
+              // Wide scenarios may leave the calls queued behind the
+              // next crossing; otherwise flush explicitly or through
+              // the scheduler's pre-suspension hook, which a yield
+              // fires.
+              if (wide && rng.chance(1, 2))
+                  break;
               if (inThread && rng.chance(1, 2))
                   guarded([&] { sched.yield(); });
               else
@@ -417,6 +425,7 @@ class Scenario
     }
 
     const Shape &shape;
+    bool wide;
     Rng rng;
     Machine mach;
     MachineScope scope;
@@ -441,6 +450,14 @@ runAll()
             out += std::string("== ") + shape.name + " seed " +
                    std::to_string(seed) + "\n";
             Scenario s(shape, seed);
+            out += s.run();
+        }
+    }
+    for (const Shape &shape : shapes) {
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            out += std::string("== ") + shape.name + " seed " +
+                   std::to_string(seed) + " wide\n";
+            Scenario s(shape, seed, /*wide=*/true);
             out += s.run();
         }
     }

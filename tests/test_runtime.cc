@@ -3,7 +3,8 @@
  * Runtime control-plane tests: the quiesced gate-matrix swap path
  * (no-op bit-identity, mid-crossing quiesce against a thread blocked
  * in an EPT ring RPC, pending deferred-batch flush before the epoch
- * flip, swap under a throttle stall, a multi-core swap storm) and the
+ * flip, swap under a throttle stall, a multi-core swap storm, a
+ * fiber-side swap next to a core holding only future-ready work) and the
  * policy controller itself (config surface, storm escalation ladder
  * with hysteresis relax, deny-witness hardening, NAPI-style batch
  * width convergence, windowed counter deltas, and the static-identity
@@ -400,6 +401,56 @@ TEST(RuntimeSmp, SwapStormAcrossCores)
     // Every swap acknowledged on every core.
     EXPECT_EQ(mach.counter("matrix.coreAcks"), 10u * mach.coreCount());
     EXPECT_EQ(img->activeCrossings(), 0);
+}
+
+TEST(RuntimeSmp, FiberSwapAcksACoreHoldingOnlyFutureReadyWork)
+{
+    // Regression: a swap from a fiber waits for every other core to
+    // dispatch or run dry. A core whose only queued thread is ready in
+    // that core's future (a cross-core wake stamped with the waker's
+    // later clock) is idle, not busy: the swapper must not yield to
+    // itself forever waiting for it.
+    Machine mach(TimingModel{}, 2);
+    MachineScope scope(mach);
+    Scheduler sched(mach);
+    LibraryRegistry reg = LibraryRegistry::standard();
+    Toolchain tc(reg);
+    SafetyConfig cfg = SafetyConfig::parse(adaptiveCfg);
+    cfg.heapBytes = 1 << 20;
+    cfg.sharedHeapBytes = 1 << 20;
+    std::unique_ptr<Image> img = tc.build(mach, sched, cfg);
+    int att = img->compartmentIndexOf("uktime");
+    int sys = img->compartmentIndexOf("uksched");
+
+    WaitQueue parked(sched);
+    bool sleeperRan = false, swapped = false;
+    Thread *sleeper = img->spawnIn("libredis", "sleeper", [&] {
+        parked.wait();
+        sleeperRan = true;
+    });
+    sched.pin(sleeper, 1);
+    Thread *swapper = img->spawnIn("libredis", "swapper", [&] {
+        while (sleeper->state() != Thread::State::Blocked)
+            sched.yield();
+        // Run core 0 far ahead of core 1, then wake the sleeper: it is
+        // stamped ready at core 0's clock, in core 1's future.
+        mach.consume(1'000'000);
+        parked.wakeOne();
+        GateMatrix next = img->gateMatrix();
+        GatePolicy p = next.at(att, sys);
+        p.rate = 1000;
+        p.rateWindow = 1'000'000;
+        next.set(att, sys, p);
+        swapped = img->swapGateMatrix(std::move(next));
+    });
+    sched.pin(swapper, 0);
+
+    EXPECT_TRUE(sched.runUntil([&] { return swapped && sleeperRan; },
+                               100'000));
+    EXPECT_TRUE(swapped);
+    EXPECT_TRUE(sleeperRan);
+    EXPECT_EQ(mach.counter("matrix.coreAcks"), 2u);
+    sched.cancelAll();
 }
 
 // ------------------------------------------- windowed counter reads
