@@ -399,6 +399,10 @@ Image::flushBatch()
 void
 Image::flushBatchFor(int threadId)
 {
+    // The pre-suspension hook lands here on every yield and block;
+    // usually nothing at all is pending.
+    if (pendingBatches.empty())
+        return;
     auto it = pendingBatches.find(threadId);
     if (it == pendingBatches.end() || it->second.bodies.empty())
         return;

@@ -339,6 +339,8 @@ bool
 Scheduler::serviceSleepers(bool mayAdvanceClock)
 {
     bool woke = false;
+    // Waking threads moves no clock, so one reading serves the call.
+    Cycles now = mach.wallCycles();
     while (!sleepers.empty()) {
         SleeperEntry e = sleepers.top();
         // An entry is live while its generation matches the thread's
@@ -353,7 +355,7 @@ Scheduler::serviceSleepers(bool mayAdvanceClock)
             sleepers.pop();
             continue;
         }
-        bool due = e.at <= mach.wallCycles();
+        bool due = e.at <= now;
         if (!due && mayAdvanceClock && !anyQueued()) {
             // Event-driven idle: everything is waiting, so the next
             // wakeup defines the passage of time. The woken thread
@@ -435,14 +437,16 @@ Scheduler::dispatchOne()
     unsigned n = unsigned(runQueues.size());
 
     // Pass 1: round-robin across cores, dispatching the first thread
-    // already due on its own core's clock.
+    // already due on its own core's clock (usually the front entry).
     for (unsigned i = 0; i < n; ++i) {
         unsigned c = (nextDispatchCore + i) % n;
-        for (Thread *t : runQueues[c]) {
-            if (t->readyAtCycles > mach.coreCycles(int(c)))
+        auto &q = runQueues[c];
+        Cycles now = mach.coreCycles(int(c));
+        for (auto it = q.begin(); it != q.end(); ++it) {
+            Thread *t = *it;
+            if (t->readyAtCycles > now)
                 continue;
-            auto &q = runQueues[c];
-            q.erase(std::find(q.begin(), q.end(), t));
+            q.erase(it);
             nextDispatchCore = (c + 1) % n;
             switchTo(t);
             return true;
@@ -452,17 +456,22 @@ Scheduler::dispatchOne()
     // Pass 2: only future-ready work remains (cross-core wakes or
     // idle-jump sleepers). The earliest event wins; its core idles
     // forward to the event time.
-    Thread *next = nullptr;
-    for (unsigned c = 0; c < n; ++c) {
-        for (Thread *t : runQueues[c]) {
-            if (!next || t->readyAtCycles < next->readyAtCycles)
-                next = t;
+    std::vector<Thread *> *nextQueue = nullptr;
+    std::size_t nextAt = 0;
+    for (auto &q : runQueues) {
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            if (!nextQueue ||
+                q[i]->readyAtCycles < (*nextQueue)[nextAt]->readyAtCycles) {
+                nextQueue = &q;
+                nextAt = i;
+            }
         }
     }
-    if (!next)
+    if (!nextQueue)
         return false;
-    auto &q = runQueues[next->core];
-    q.erase(std::find(q.begin(), q.end(), next));
+    Thread *next = (*nextQueue)[nextAt];
+    nextQueue->erase(nextQueue->begin() +
+                     static_cast<std::ptrdiff_t>(nextAt));
     mach.advanceCoreTo(next->core, next->readyAtCycles);
     nextDispatchCore = (unsigned(next->core) + 1) % n;
     switchTo(next);
@@ -658,23 +667,33 @@ Scheduler::hasLiveThreads() const
 Thread *
 WaitQueue::wakeOne()
 {
-    while (!waiters.empty()) {
-        Thread *t = waiters.front();
-        waiters.pop_front();
-        if (t->state() == Thread::State::Blocked) {
-            sched.wake(t);
-            return t;
-        }
-    }
-    return nullptr;
+    // Entries left by threads that stopped waiting some other way
+    // (woken directly, cancelled) are skipped and dropped.
+    auto it = waiters.begin();
+    while (it != waiters.end() && (*it)->state() != Thread::State::Blocked)
+        ++it;
+    Thread *t = it == waiters.end() ? nullptr : *it;
+    waiters.erase(waiters.begin(),
+                  it == waiters.end() ? it : std::next(it));
+    if (t)
+        sched.wake(t);
+    return t;
 }
 
 std::size_t
 WaitQueue::wakeAll()
 {
+    // wake() only re-queues the thread, so the list cannot change
+    // under this loop. A thread listed twice wakes once: the first
+    // wake leaves it Ready.
     std::size_t n = 0;
-    while (wakeOne())
-        ++n;
+    for (Thread *t : waiters) {
+        if (t->state() == Thread::State::Blocked) {
+            sched.wake(t);
+            ++n;
+        }
+    }
+    waiters.clear();
     return n;
 }
 

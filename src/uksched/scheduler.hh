@@ -18,7 +18,6 @@
 #define FLEXOS_UKSCHED_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -370,11 +369,14 @@ class Scheduler
     Machine &mach;
     std::vector<std::unique_ptr<Thread>> threads;
     /**
-     * One run queue per machine core. Every entry is a Ready thread:
+     * One run queue per machine core, FIFO: threads join at the back
+     * and usually leave from the front. Every entry is a Ready thread:
      * whatever takes a thread off the Ready state (dispatch, cancel)
-     * also removes its entry.
+     * also removes its entry. Queues are short, so a vector's memmove
+     * on a front erase costs less than a deque's node churn, and a
+     * warm vector never allocates.
      */
-    std::vector<std::deque<Thread *>> runQueues;
+    std::vector<std::vector<Thread *>> runQueues;
     /** Per-core dispatch counters (epoch-ack safe points). */
     std::vector<std::uint64_t> coreDispatches;
     std::vector<std::pair<int, std::function<void(Thread &)>>>
@@ -440,7 +442,8 @@ class WaitQueue
     friend class Scheduler;
 
     Scheduler &sched;
-    std::deque<Thread *> waiters;
+    /** FIFO of waiters, the same representation as a run queue. */
+    std::vector<Thread *> waiters;
 };
 
 /** Cooperative mutex. */

@@ -48,6 +48,15 @@ class Clock
 /**
  * Deadline-ordered timer queue; polled by whoever owns it (the network
  * stack polls it on every loop iteration for TCP retransmissions).
+ *
+ * Callbacks live in a slot table; the deadline heap holds only
+ * (deadline, slot) pairs. A timer id is `generation << 32 | slot`, and
+ * a slot's generation moves on when its heap entry pops, so a stale id
+ * (fired, cancelled, or never armed) can never cancel a later occupant.
+ * cancel() and the liveness check in poll() are O(1), and a warm queue
+ * arms and cancels without touching the host heap. A cancelled timer
+ * keeps its heap entry until its deadline pops it: the queue is never
+ * searched, and the earliest entry stays visible to nextDeadlineNs().
  */
 class TimerQueue
 {
@@ -56,18 +65,38 @@ class TimerQueue
 
     explicit TimerQueue(Machine &m) : mach(m) {}
 
-    /** Arm a timer; returns an id usable with cancel(). */
+    /** Arm a timer; returns a non-zero id usable with cancel(). */
     std::uint64_t
     arm(std::uint64_t delayNs, Callback cb)
     {
-        std::uint64_t id = nextId++;
-        pending.push(Entry{mach.nanoseconds() + delayNs, id,
-                           std::move(cb)});
-        return id;
+        std::uint32_t slot;
+        if (freeSlots.empty()) {
+            slot = static_cast<std::uint32_t>(slots.size());
+            slots.emplace_back();
+        } else {
+            slot = freeSlots.back();
+            freeSlots.pop_back();
+        }
+        Slot &s = slots[slot];
+        s.cb = std::move(cb);
+        s.live = true;
+        pending.push(Entry{mach.nanoseconds() + delayNs, slot});
+        return std::uint64_t(s.gen) << 32 | slot;
     }
 
-    /** Cancel a timer by id (no-op if already fired). */
-    void cancel(std::uint64_t id) { cancelled.push_back(id); }
+    /** Cancel a timer by id (no-op if already fired or cancelled). */
+    void
+    cancel(std::uint64_t id)
+    {
+        std::uint64_t slot = id & 0xffffffffu;
+        if (slot >= slots.size())
+            return;
+        Slot &s = slots[slot];
+        if (s.gen != id >> 32 || !s.live)
+            return;
+        s.live = false;
+        s.cb = nullptr; // release what the callback captured now
+    }
 
     /** Fire every timer whose deadline has passed. @return fired count */
     std::size_t
@@ -76,33 +105,50 @@ class TimerQueue
         std::size_t fired = 0;
         while (!pending.empty() &&
                pending.top().deadlineNs <= mach.nanoseconds()) {
-            Entry e = pending.top();
+            std::uint32_t slot = pending.top().slot;
             pending.pop();
-            if (isCancelled(e.id))
+            // Retire the slot before the callback runs: it may re-arm
+            // (reusing this slot under a new generation) or cancel its
+            // own, now stale, id.
+            Slot &s = slots[slot];
+            bool live = s.live;
+            Callback cb = std::move(s.cb);
+            s.cb = nullptr;
+            s.live = false;
+            if (++s.gen == 0)
+                s.gen = 1; // ids stay non-zero
+            freeSlots.push_back(slot);
+            if (!live)
                 continue;
-            e.cb();
+            cb();
             ++fired;
         }
         return fired;
     }
 
-    /** Nanoseconds until the next live deadline, or UINT64_MAX. */
+    /**
+     * Absolute deadline (virtual ns) of the earliest queued entry, or
+     * UINT64_MAX when none is queued. Cancelled entries count until
+     * their deadline pops them, so this may name a timer that will
+     * not fire.
+     */
     std::uint64_t
     nextDeadlineNs() const
     {
         return pending.empty() ? UINT64_MAX : pending.top().deadlineNs;
     }
 
+    /** Whether no entry is queued (cancelled ones included). */
     bool empty() const { return pending.empty(); }
 
   private:
     struct Entry
     {
         std::uint64_t deadlineNs;
-        std::uint64_t id;
-        Callback cb;
+        std::uint32_t slot;
     };
 
+    /** Deadline only: equal deadlines pop in the heap's own order. */
     struct Order
     {
         bool
@@ -112,22 +158,17 @@ class TimerQueue
         }
     };
 
-    bool
-    isCancelled(std::uint64_t id)
+    struct Slot
     {
-        for (auto it = cancelled.begin(); it != cancelled.end(); ++it) {
-            if (*it == id) {
-                cancelled.erase(it);
-                return true;
-            }
-        }
-        return false;
-    }
+        Callback cb;
+        std::uint32_t gen = 1;
+        bool live = false;
+    };
 
     Machine &mach;
     std::priority_queue<Entry, std::vector<Entry>, Order> pending;
-    std::vector<std::uint64_t> cancelled;
-    std::uint64_t nextId = 1;
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> freeSlots;
 };
 
 } // namespace flexos
