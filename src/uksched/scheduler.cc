@@ -479,34 +479,22 @@ Scheduler::dispatchOne()
 }
 
 bool
+Scheduler::step()
+{
+    serviceSleepers(true);
+    stealWork();
+    return dispatchOne();
+}
+
+bool
 Scheduler::run()
 {
-    while (true) {
-        serviceSleepers(true);
-        stealWork();
-        if (!dispatchOne())
-            break;
+    while (step()) {
     }
 
     for (const auto &t : threads) {
         if (t->state_ != Thread::State::Finished)
             return false; // blocked threads remain: deadlock
-    }
-    return true;
-}
-
-bool
-Scheduler::runUntil(const std::function<bool()> &pred,
-                    std::uint64_t maxSwitches)
-{
-    std::uint64_t budget = maxSwitches;
-    while (!pred()) {
-        if (budget-- == 0)
-            return false;
-        serviceSleepers(true);
-        stealWork();
-        if (!dispatchOne())
-            return false;
     }
     return true;
 }

@@ -238,10 +238,20 @@ class Scheduler
 
     /**
      * Run until pred() holds, checked after every thread switch-out.
-     * @return true if the predicate was met, false if execution dried up.
+     * A template, so the per-dispatch check is a direct call.
+     * @return true if the predicate was met, false if execution dried
+     *         up or maxSwitches dispatches passed first.
      */
-    bool runUntil(const std::function<bool()> &pred,
-                  std::uint64_t maxSwitches = 50'000'000);
+    template <typename Pred>
+    bool
+    runUntil(Pred &&pred, std::uint64_t maxSwitches = 50'000'000)
+    {
+        for (std::uint64_t budget = maxSwitches; !pred(); --budget) {
+            if (budget == 0 || !step())
+                return false;
+        }
+        return true;
+    }
 
     /** @name Calls made from inside threads. @{ */
     /** Cooperatively give up the CPU (stay runnable). */
@@ -343,6 +353,12 @@ class Scheduler
     bool preSuspend(Thread *self);
     void threadMain();
     static void trampoline();
+
+    /**
+     * One scheduling round: service sleepers, steal, dispatch.
+     * @return false if no Ready thread is queued anywhere.
+     */
+    bool step();
 
     /** Move due sleepers to their run queues; force-wake if all idle. */
     bool serviceSleepers(bool mayAdvanceClock);
