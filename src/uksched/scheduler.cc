@@ -456,22 +456,20 @@ Scheduler::dispatchOne()
     // Pass 2: only future-ready work remains (cross-core wakes or
     // idle-jump sleepers). The earliest event wins; its core idles
     // forward to the event time.
-    std::vector<Thread *> *nextQueue = nullptr;
+    Thread *next = nullptr;
     std::size_t nextAt = 0;
-    for (auto &q : runQueues) {
+    for (const auto &q : runQueues) {
         for (std::size_t i = 0; i < q.size(); ++i) {
-            if (!nextQueue ||
-                q[i]->readyAtCycles < (*nextQueue)[nextAt]->readyAtCycles) {
-                nextQueue = &q;
+            if (!next || q[i]->readyAtCycles < next->readyAtCycles) {
+                next = q[i];
                 nextAt = i;
             }
         }
     }
-    if (!nextQueue)
+    if (!next)
         return false;
-    Thread *next = (*nextQueue)[nextAt];
-    nextQueue->erase(nextQueue->begin() +
-                     static_cast<std::ptrdiff_t>(nextAt));
+    auto &q = runQueues[next->core];
+    q.erase(q.begin() + static_cast<std::ptrdiff_t>(nextAt));
     mach.advanceCoreTo(next->core, next->readyAtCycles);
     nextDispatchCore = (unsigned(next->core) + 1) % n;
     switchTo(next);
@@ -655,17 +653,15 @@ Scheduler::hasLiveThreads() const
 Thread *
 WaitQueue::wakeOne()
 {
-    // Entries left by threads that stopped waiting some other way
-    // (woken directly, cancelled) are skipped and dropped.
-    auto it = waiters.begin();
-    while (it != waiters.end() && (*it)->state() != Thread::State::Blocked)
-        ++it;
-    Thread *t = it == waiters.end() ? nullptr : *it;
-    waiters.erase(waiters.begin(),
-                  it == waiters.end() ? it : std::next(it));
-    if (t)
-        sched.wake(t);
-    return t;
+    while (!waiters.empty()) {
+        Thread *t = waiters.front();
+        waiters.erase(waiters.begin());
+        if (t->state() == Thread::State::Blocked) {
+            sched.wake(t);
+            return t;
+        }
+    }
+    return nullptr;
 }
 
 std::size_t
