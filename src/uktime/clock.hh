@@ -50,13 +50,15 @@ class Clock
  * stack polls it on every loop iteration for TCP retransmissions).
  *
  * Callbacks live in a slot table; the deadline heap holds only
- * (deadline, slot) pairs. A timer id is `generation << 32 | slot`, and
- * a slot's generation moves on when its heap entry pops, so a stale id
- * (fired, cancelled, or never armed) can never cancel a later occupant.
- * cancel() and the liveness check in poll() are O(1), and a warm queue
- * arms and cancels without touching the host heap. A cancelled timer
- * keeps its heap entry until its deadline pops it: the queue is never
- * searched, and the earliest entry stays visible to nextDeadlineNs().
+ * (deadline, slot, generation) entries. A timer id is
+ * `generation << 32 | slot`. Cancelling or firing a timer frees its
+ * slot at once and moves the slot's generation on, so an entry (or id)
+ * whose generation no longer matches is dead: cancel() and the
+ * liveness check in poll() are O(1), a stale id can never touch a later
+ * occupant, and a warm queue arms and cancels without touching the host
+ * heap. A cancelled timer's entry stays in the heap until its deadline
+ * pops it: the queue is never searched, and the earliest entry stays
+ * visible to nextDeadlineNs().
  */
 class TimerQueue
 {
@@ -79,8 +81,7 @@ class TimerQueue
         }
         Slot &s = slots[slot];
         s.cb = std::move(cb);
-        s.live = true;
-        pending.push(Entry{mach.nanoseconds() + delayNs, slot});
+        pending.push(Entry{mach.nanoseconds() + delayNs, slot, s.gen});
         return std::uint64_t(s.gen) << 32 | slot;
     }
 
@@ -89,13 +90,8 @@ class TimerQueue
     cancel(std::uint64_t id)
     {
         std::uint64_t slot = id & 0xffffffffu;
-        if (slot >= slots.size())
-            return;
-        Slot &s = slots[slot];
-        if (s.gen != id >> 32 || !s.live)
-            return;
-        s.live = false;
-        s.cb = nullptr; // release what the callback captured now
+        if (slot < slots.size() && slots[slot].gen == id >> 32)
+            release(static_cast<std::uint32_t>(slot));
     }
 
     /** Fire every timer whose deadline has passed. @return fired count */
@@ -105,21 +101,15 @@ class TimerQueue
         std::size_t fired = 0;
         while (!pending.empty() &&
                pending.top().deadlineNs <= mach.nanoseconds()) {
-            std::uint32_t slot = pending.top().slot;
+            Entry e = pending.top();
             pending.pop();
-            // Retire the slot before the callback runs: it may re-arm
+            if (slots[e.slot].gen != e.gen)
+                continue; // cancelled
+            // Free the slot before the callback runs: it may re-arm
             // (reusing this slot under a new generation) or cancel its
             // own, now stale, id.
-            Slot &s = slots[slot];
-            bool live = s.live;
-            Callback cb = std::move(s.cb);
-            s.cb = nullptr;
-            s.live = false;
-            if (++s.gen == 0)
-                s.gen = 1; // ids stay non-zero
-            freeSlots.push_back(slot);
-            if (!live)
-                continue;
+            Callback cb = std::move(slots[e.slot].cb);
+            release(e.slot);
             cb();
             ++fired;
         }
@@ -146,6 +136,7 @@ class TimerQueue
     {
         std::uint64_t deadlineNs;
         std::uint32_t slot;
+        std::uint32_t gen;
     };
 
     /** Deadline only: equal deadlines pop in the heap's own order. */
@@ -162,8 +153,18 @@ class TimerQueue
     {
         Callback cb;
         std::uint32_t gen = 1;
-        bool live = false;
     };
+
+    /** Drop a slot's callback and retire its generation. */
+    void
+    release(std::uint32_t slot)
+    {
+        Slot &s = slots[slot];
+        s.cb = nullptr;
+        if (++s.gen == 0)
+            s.gen = 1; // ids stay non-zero
+        freeSlots.push_back(slot);
+    }
 
     Machine &mach;
     std::priority_queue<Entry, std::vector<Entry>, Order> pending;
