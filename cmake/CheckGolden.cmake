@@ -1,8 +1,9 @@
 # Golden-output check: run a tool and fail when its stdout differs from
 # a committed file. Invoked by the `config_doc_fresh` CTest (the config
 # reference generated from the parser's key tables) and the
-# `fig11b_golden`, `fig11a_golden` and `fig06_golden` CTests (the fig11b
-# crossing-cost, fig11a allocation and fig06 Redis tables) as:
+# `fig11b_golden`, `fig11a_golden`, `fig06_golden` and `fig10_golden`
+# CTests (the fig11b crossing-cost, fig11a allocation, fig06 Redis and
+# fig10 SQLite tables) as:
 #   cmake -DTOOL=<executable> -DGOLDEN=<committed file>
 #         -DREGEN=<command regenerating it> -P cmake/CheckGolden.cmake
 

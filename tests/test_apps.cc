@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <memory>
+
 #include "apps/deploy.hh"
 #include "apps/http.hh"
 #include "apps/iperf.hh"
 #include "apps/minisql.hh"
 #include "apps/redis.hh"
+#include "base/rng.hh"
 
 namespace flexos {
 namespace {
@@ -334,10 +339,7 @@ TEST(HttpBenchmark, ProducesThroughput)
 
 // --------------------------------------------------------------- minisql
 
-struct SqlFixture : ::testing::Test
-{
-    SqlFixture()
-        : dep(R"(
+const char *sqlMpk2 = R"(
 compartments:
 - comp1:
     mechanism: intel-mpk
@@ -350,10 +352,11 @@ libraries:
 - uksched: comp1
 - uktime: comp1
 - vfscore: comp2
-)",
-              DeployOptions{.withNet = false})
-    {
-    }
+)";
+
+struct SqlFixture : ::testing::Test
+{
+    SqlFixture() : dep(sqlMpk2, DeployOptions{.withNet = false}) {}
 
     /** Run body inside libsqlite's compartment and wait for it. */
     void
@@ -537,6 +540,361 @@ TEST_F(SqlFixture, EachAutoCommitInsertWritesAndDropsJournal)
         EXPECT_EQ(dep.vfs().stat("/j.db-journal", st), vfsNotFound);
         db.close();
     });
+}
+
+// ------------------------------------------------- pager differential
+
+/**
+ * The pager as minisql first shipped it: a `std::map` page cache whose
+ * every flush walks all cached pages for dirty ones. Kept verbatim in
+ * behaviour as the oracle for the production pager, which must issue
+ * the same VFS calls in the same order.
+ */
+class ReferencePager
+{
+  public:
+    using PageBuf = minisql::Pager::PageBuf;
+
+    ReferencePager(LibcApi &libcApi, std::string dbPath)
+        : libc(libcApi), path(std::move(dbPath)),
+          journalPath(path + "-journal")
+    {
+    }
+
+    ~ReferencePager()
+    {
+        if (fd >= 0)
+            close();
+    }
+
+    void
+    open()
+    {
+        VfsStat st;
+        bool haveJournal = libc.stat(journalPath, st) == vfsOk;
+        fd = libc.open(path, oCreat | oRdWr);
+        if (haveJournal) {
+            int jfd = libc.open(journalPath, oRdOnly);
+            if (jfd >= 0) {
+                std::uint8_t hdr[8];
+                std::uint64_t off = 0;
+                while (libc.pread(jfd, hdr, 8, off) == 8) {
+                    std::uint32_t id;
+                    std::memcpy(&id, hdr, 4);
+                    PageBuf buf;
+                    if (libc.pread(jfd, buf.data(), minisql::pageSize,
+                                   off + 8) !=
+                        static_cast<long>(minisql::pageSize))
+                        break;
+                    libc.pwrite(fd, buf.data(), minisql::pageSize,
+                                std::uint64_t{id} * minisql::pageSize);
+                    off += 8 + minisql::pageSize;
+                }
+                libc.close(jfd);
+                libc.fsync(fd);
+            }
+            libc.unlink(journalPath);
+        }
+        VfsStat dbSt;
+        libc.stat(path, dbSt);
+        nPages = static_cast<std::uint32_t>(dbSt.size / minisql::pageSize);
+    }
+
+    void
+    close()
+    {
+        if (inTxn)
+            rollback();
+        for (auto &[id, page] : cache)
+            if (page->dirty)
+                writeBack(id);
+        cache.clear();
+        libc.close(fd);
+        fd = -1;
+    }
+
+    PageBuf &
+    get(std::uint32_t id)
+    {
+        auto it = cache.find(id);
+        if (it == cache.end()) {
+            auto page = std::make_unique<CachedPage>();
+            libc.pread(fd, page->data.data(), minisql::pageSize,
+                       std::uint64_t{id} * minisql::pageSize);
+            it = cache.emplace(id, std::move(page)).first;
+        }
+        return it->second->data;
+    }
+
+    PageBuf &
+    getMutable(std::uint32_t id)
+    {
+        PageBuf &buf = get(id);
+        if (inTxn)
+            journalPreImage(id);
+        cache[id]->dirty = true;
+        return buf;
+    }
+
+    std::uint32_t
+    allocPage()
+    {
+        std::uint32_t id = nPages++;
+        auto page = std::make_unique<CachedPage>();
+        page->data.fill(0);
+        page->dirty = true;
+        cache.emplace(id, std::move(page));
+        libc.pwrite(fd, cache[id]->data.data(), minisql::pageSize,
+                    std::uint64_t{id} * minisql::pageSize);
+        return id;
+    }
+
+    std::uint32_t pageCount() const { return nPages; }
+    bool inTransaction() const { return inTxn; }
+
+    void
+    begin()
+    {
+        inTxn = true;
+        preImages.clear();
+    }
+
+    void
+    commit()
+    {
+        for (auto &[id, page] : cache)
+            if (page->dirty)
+                writeBack(id);
+        libc.fsync(fd);
+        libc.unlink(journalPath);
+        preImages.clear();
+        inTxn = false;
+    }
+
+    void
+    commitDirtyForTest()
+    {
+        for (auto &[id, page] : cache)
+            if (page->dirty)
+                writeBack(id);
+        preImages.clear();
+        inTxn = false;
+    }
+
+    void
+    rollback()
+    {
+        for (auto &[id, pre] : preImages) {
+            cache[id]->data = pre;
+            writeBack(id);
+        }
+        libc.fsync(fd);
+        libc.unlink(journalPath);
+        preImages.clear();
+        inTxn = false;
+    }
+
+  private:
+    void
+    writeBack(std::uint32_t id)
+    {
+        libc.pwrite(fd, cache[id]->data.data(), minisql::pageSize,
+                    std::uint64_t{id} * minisql::pageSize);
+        cache[id]->dirty = false;
+    }
+
+    void
+    journalPreImage(std::uint32_t id)
+    {
+        if (preImages.count(id))
+            return;
+        preImages[id] = get(id);
+        int jfd = libc.open(journalPath, oCreat | oWrOnly | oAppend);
+        std::uint8_t hdr[8] = {};
+        std::memcpy(hdr, &id, 4);
+        libc.write(jfd, hdr, 8);
+        libc.write(jfd, preImages[id].data(), minisql::pageSize);
+        libc.fsync(jfd);
+        libc.close(jfd);
+    }
+
+    struct CachedPage
+    {
+        PageBuf data;
+        bool dirty = false;
+    };
+
+    LibcApi &libc;
+    std::string path;
+    std::string journalPath;
+    int fd = -1;
+    std::uint32_t nPages = 0;
+    std::map<std::uint32_t, std::unique_ptr<CachedPage>> cache;
+    bool inTxn = false;
+    std::map<std::uint32_t, PageBuf> preImages;
+};
+
+/** What the simulated machine looks like after one pager step. */
+struct PagerStep
+{
+    std::string op;
+    std::uint64_t readHash = 0; ///< bytes the step read, if any
+    Cycles wall = 0;
+    std::uint64_t ramfsOps = 0;
+    long dbSize = -1;           ///< -1: file absent
+    std::uint64_t dbHash = 0;
+    long journalSize = -1;
+    std::uint64_t journalHash = 0;
+
+    bool operator==(const PagerStep &) const = default;
+};
+
+std::uint64_t
+fnv1a(const std::uint8_t *p, std::size_t n, std::uint64_t h = 14695981039346656037ull)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * 1099511628211ull;
+    return h;
+}
+
+/** Size and hash of a file, read straight from the VFS. */
+void
+fileImage(Vfs &vfs, const std::string &path, long &size, std::uint64_t &hash)
+{
+    VfsStat st;
+    if (vfs.stat(path, st) != vfsOk)
+        return;
+    std::vector<std::uint8_t> bytes(st.size);
+    int fd = vfs.open(path, oRdOnly);
+    vfs.pread(fd, bytes.data(), bytes.size(), 0);
+    vfs.close(fd);
+    size = static_cast<long>(st.size);
+    hash = fnv1a(bytes.data(), bytes.size());
+}
+
+/**
+ * Drive pager type P through a seeded random script of begin, get,
+ * getMutable, allocPage, commit, rollback, commitDirtyForTest, close
+ * and reopen, recording the machine after every step. The script only
+ * branches on what the pager reports (page count, transaction state),
+ * so two pagers that behave alike see the same script.
+ */
+template <typename P>
+std::vector<PagerStep>
+runPagerScript(std::uint64_t seed, int steps)
+{
+    constexpr std::uint32_t maxPages = 24;
+    const std::string dbPath = "/pager.db";
+    Deployment dep(sqlMpk2, DeployOptions{.withNet = false});
+    std::vector<PagerStep> trace;
+    bool done = false;
+    dep.image().spawnIn("libsqlite", "pager", [&] {
+        Rng rng(seed);
+        auto pager = std::make_unique<P>(dep.libc(), dbPath);
+        pager->open();
+        // Pages handed out since the last open: their addresses must
+        // stay put, since the B-tree holds references across calls.
+        std::vector<const typename P::PageBuf *> seen;
+        auto fetched = [&](std::uint32_t id, auto &buf) -> auto & {
+            if (seen.size() <= id)
+                seen.resize(id + 1, nullptr);
+            EXPECT_TRUE(!seen[id] || seen[id] == &buf)
+                << "page " << id << " moved";
+            seen[id] = &buf;
+            return buf;
+        };
+        auto scribble = [&](typename P::PageBuf &buf) {
+            for (int n = static_cast<int>(rng.range(1, 8)); n > 0; --n)
+                buf[rng.below(minisql::pageSize)] =
+                    static_cast<std::uint8_t>(rng.next());
+        };
+        for (int i = 0; i < steps; ++i) {
+            PagerStep s;
+            std::uint32_t pages = pager ? pager->pageCount() : 0;
+            std::uint64_t pick = rng.below(100);
+            if (!pager) {
+                s.op = "reopen";
+                pager = std::make_unique<P>(dep.libc(), dbPath);
+                pager->open();
+            } else if (pick < 12 && pages < maxPages) {
+                s.op = "alloc " + std::to_string(pager->allocPage());
+            } else if (pick < 12) {
+                s.op = "full";
+            } else if (pages == 0) {
+                s.op = "empty";
+            } else if (pick < 30) {
+                std::uint32_t id = static_cast<std::uint32_t>(rng.below(pages));
+                auto &buf = fetched(id, pager->get(id));
+                s.op = "get " + std::to_string(id);
+                s.readHash = fnv1a(buf.data(), buf.size());
+            } else if (pick < 55) {
+                std::uint32_t id = static_cast<std::uint32_t>(rng.below(pages));
+                scribble(fetched(id, pager->getMutable(id)));
+                s.op = "mutate " + std::to_string(id);
+            } else if (pick < 62 && pages < maxPages) {
+                // A B-tree split: hold a page, allocate its sibling,
+                // then write through the older reference.
+                std::uint32_t id = static_cast<std::uint32_t>(rng.below(pages));
+                auto &left = fetched(id, pager->getMutable(id));
+                std::uint32_t right = pager->allocPage();
+                scribble(fetched(right, pager->getMutable(right)));
+                scribble(left);
+                s.op = "split " + std::to_string(id) + " " +
+                       std::to_string(right);
+            } else if (pick < 74) {
+                if (pager->inTransaction()) {
+                    s.op = "commit";
+                    pager->commit();
+                } else {
+                    s.op = "begin";
+                    pager->begin();
+                }
+            } else if (pick < 84 && pager->inTransaction()) {
+                s.op = "rollback";
+                pager->rollback();
+            } else if (pick < 88 && pager->inTransaction()) {
+                s.op = "crash-flush";
+                pager->commitDirtyForTest();
+            } else if (pick < 92) {
+                s.op = "close";
+                pager.reset();
+                seen.clear();
+            } else {
+                s.op = "begin-or-nothing";
+                if (!pager->inTransaction())
+                    pager->begin();
+            }
+            s.wall = dep.machine().wallCycles();
+            s.ramfsOps = dep.machine().counter(Counter::RamfsOps);
+            fileImage(dep.vfs(), dbPath, s.dbSize, s.dbHash);
+            fileImage(dep.vfs(), dbPath + "-journal", s.journalSize,
+                      s.journalHash);
+            trace.push_back(std::move(s));
+        }
+        pager.reset();
+        done = true;
+    });
+    EXPECT_TRUE(dep.scheduler().runUntil([&] { return done; }));
+    return trace;
+}
+
+TEST(PagerDifferential, MatchesMapBasedReferenceUnderRandomScripts)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        auto want = runPagerScript<ReferencePager>(seed, 300);
+        auto got = runPagerScript<minisql::Pager>(seed, 300);
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            const PagerStep &w = want[i], &g = got[i];
+            ASSERT_EQ(w, g)
+                << "seed " << seed << " step " << i << ": reference '"
+                << w.op << "' wall " << w.wall << " ramfs " << w.ramfsOps
+                << " db " << w.dbSize << " journal " << w.journalSize
+                << "; pager '" << g.op << "' wall " << g.wall << " ramfs "
+                << g.ramfsOps << " db " << g.dbSize << " journal "
+                << g.journalSize;
+        }
+    }
 }
 
 TEST(SqlTokenizer, HandlesLiteralsAndPunctuation)
