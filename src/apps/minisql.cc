@@ -1,5 +1,6 @@
 #include "apps/minisql.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <functional>
@@ -74,9 +75,7 @@ Pager::close()
 {
     if (inTxn)
         rollback();
-    for (auto &[id, page] : cache)
-        if (page->dirty)
-            writeBack(id);
+    flushDirty();
     cache.clear();
     if (fd >= 0) {
         libc.close(fd);
@@ -84,40 +83,55 @@ Pager::close()
     }
 }
 
-Pager::PageBuf &
-Pager::get(std::uint32_t id)
+Pager::CachedPage &
+Pager::page(std::uint32_t id)
 {
     panic_if(id >= nPages, "page ", id, " out of range");
-    auto it = cache.find(id);
-    if (it == cache.end()) {
-        auto page = std::make_unique<CachedPage>();
-        long got = libc.pread(fd, page->data.data(), pageSize,
+    if (cache.size() <= id)
+        cache.resize(nPages);
+    auto &slot = cache[id];
+    if (!slot) {
+        slot = std::make_unique<CachedPage>();
+        long got = libc.pread(fd, slot->data.data(), pageSize,
                               static_cast<std::uint64_t>(id) * pageSize);
         panic_if(got != static_cast<long>(pageSize),
                  "short page read");
-        it = cache.emplace(id, std::move(page)).first;
     }
-    return it->second->data;
+    return *slot;
+}
+
+Pager::PageBuf &
+Pager::get(std::uint32_t id)
+{
+    return page(id).data;
 }
 
 Pager::PageBuf &
 Pager::getMutable(std::uint32_t id)
 {
-    PageBuf &buf = get(id);
+    CachedPage &p = page(id);
     if (inTxn)
-        journalPreImage(id);
-    cache[id]->dirty = true;
-    return buf;
+        journalPreImage(id, p.data);
+    markDirty(id, p);
+    return p.data;
+}
+
+void
+Pager::markDirty(std::uint32_t id, CachedPage &p)
+{
+    if (!p.dirty) {
+        p.dirty = true;
+        dirtyIds.push_back(id);
+    }
 }
 
 std::uint32_t
 Pager::allocPage()
 {
     std::uint32_t id = nPages++;
-    auto page = std::make_unique<CachedPage>();
-    page->data.fill(0);
-    page->dirty = true;
-    cache.emplace(id, std::move(page));
+    cache.resize(nPages);
+    cache[id] = std::make_unique<CachedPage>(); // zero-filled
+    markDirty(id, *cache[id]);
     // Extend the file so subsequent reads see the page.
     libc.pwrite(fd, cache[id]->data.data(), pageSize,
                 static_cast<std::uint64_t>(id) * pageSize);
@@ -125,11 +139,11 @@ Pager::allocPage()
 }
 
 void
-Pager::journalPreImage(std::uint32_t id)
+Pager::journalPreImage(std::uint32_t id, const PageBuf &pre)
 {
-    if (preImages.count(id))
+    auto [it, fresh] = preImages.try_emplace(id, pre);
+    if (!fresh)
         return;
-    preImages[id] = get(id);
 
     // Append [pageId, pre-image] to the journal and sync it before the
     // page may be overwritten in place — write-ahead of the rollback
@@ -139,7 +153,7 @@ Pager::journalPreImage(std::uint32_t id)
     std::uint8_t hdr[8] = {};
     std::memcpy(hdr, &id, 4);
     libc.write(jfd, hdr, 8);
-    libc.write(jfd, preImages[id].data(), pageSize);
+    libc.write(jfd, it->second.data(), pageSize);
     libc.fsync(jfd);
     libc.close(jfd);
 }
@@ -161,14 +175,22 @@ Pager::writeBack(std::uint32_t id)
 }
 
 void
+Pager::flushDirty()
+{
+    std::sort(dirtyIds.begin(), dirtyIds.end());
+    for (std::uint32_t id : dirtyIds)
+        if (cache[id]->dirty)
+            writeBack(id);
+    dirtyIds.clear();
+}
+
+void
 Pager::commit()
 {
     panic_if(!inTxn, "commit outside transaction");
     // Flush dirty pages, sync the database, then drop the journal —
     // the journal's deletion is the commit point.
-    for (auto &[id, page] : cache)
-        if (page->dirty)
-            writeBack(id);
+    flushDirty();
     libc.fsync(fd);
     libc.unlink(journalPath);
     preImages.clear();
@@ -179,9 +201,7 @@ void
 Pager::commitDirtyForTest()
 {
     panic_if(!inTxn, "crash-flush outside transaction");
-    for (auto &[id, page] : cache)
-        if (page->dirty)
-            writeBack(id);
+    flushDirty();
     // No journal unlink: the next open() finds it hot and rolls back.
     preImages.clear();
     inTxn = false;

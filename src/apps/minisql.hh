@@ -92,8 +92,18 @@ class Pager
     void commitDirtyForTest();
 
   private:
+    struct CachedPage
+    {
+        PageBuf data;
+        bool dirty = false;
+    };
+
+    CachedPage &page(std::uint32_t id);
+    void markDirty(std::uint32_t id, CachedPage &p);
+    /** Write every dirty page back in ascending id order. */
+    void flushDirty();
     void writeBack(std::uint32_t id);
-    void journalPreImage(std::uint32_t id);
+    void journalPreImage(std::uint32_t id, const PageBuf &pre);
 
     LibcApi &libc;
     std::string path;
@@ -101,12 +111,19 @@ class Pager
     int fd = -1;
     std::uint32_t nPages = 0;
 
-    struct CachedPage
-    {
-        PageBuf data;
-        bool dirty = false;
-    };
-    std::map<std::uint32_t, std::unique_ptr<CachedPage>> cache;
+    /**
+     * Cached pages by id, null until first fetched. Each page is its
+     * own allocation, so a PageBuf& stays valid as the table grows
+     * (the B-tree holds one across get() calls).
+     */
+    std::vector<std::unique_ptr<CachedPage>> cache;
+    /**
+     * Ids that turned dirty since the last flush, unordered. A page
+     * rollback() wrote back is clean again but stays listed; the flush
+     * skips it (and lists it again if it is re-dirtied, so an id can
+     * appear twice).
+     */
+    std::vector<std::uint32_t> dirtyIds;
 
     bool inTxn = false;
     std::map<std::uint32_t, PageBuf> preImages; ///< journalled this txn

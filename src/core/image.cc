@@ -1,8 +1,13 @@
 #include "core/image.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <sstream>
+#include <utility>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "base/logging.hh"
 
@@ -29,6 +34,49 @@ layoutSeed(const std::string &name)
 }
 
 } // namespace
+
+ZeroArena::ZeroArena(std::size_t n) : bytes(n)
+{
+    // Map the arena rounded up to whole pages plus one guard page, all
+    // PROT_NONE, then open the arena part. The arena ends flush against
+    // the guard; its base keeps malloc's alignment, so for a size that
+    // is a multiple of 16 (every size in use is whole pages) the byte
+    // past the end is the guard's first.
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    std::size_t span = (n + page - 1) / page * page;
+    mappedBytes = span + page;
+    mapping = mmap(nullptr, mappedBytes, PROT_NONE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    fatal_if(mapping == MAP_FAILED, "cannot map a ", n, "-byte arena");
+    if (mprotect(mapping, span, PROT_READ | PROT_WRITE) != 0) {
+        munmap(mapping, mappedBytes);
+        fatal("cannot open a ", n, "-byte arena");
+    }
+    base = static_cast<char *>(mapping) +
+           ((span - n) & ~(alignof(std::max_align_t) - 1));
+}
+
+ZeroArena::~ZeroArena()
+{
+    if (mapping)
+        munmap(mapping, mappedBytes);
+}
+
+ZeroArena::ZeroArena(ZeroArena &&other) noexcept
+{
+    *this = std::move(other);
+}
+
+ZeroArena &
+ZeroArena::operator=(ZeroArena &&other) noexcept
+{
+    // The old mapping leaves with `other`, which unmaps it.
+    std::swap(mapping, other.mapping);
+    std::swap(mappedBytes, other.mappedBytes);
+    std::swap(base, other.base);
+    std::swap(bytes, other.bytes);
+    return *this;
+}
 
 unsigned
 layoutEntropyBits(Mechanism m)
@@ -457,8 +505,8 @@ Image::boot()
 
     // ukboot: carve out per-compartment memory and the shared heap.
     for (auto &c : comps) {
-        c->heapArena.resize(cfg.heapBytes);
-        c->dataSection.resize(64 * 1024);
+        c->heapArena = ZeroArena(cfg.heapBytes);
+        c->dataSection = ZeroArena(64 * 1024);
         c->rawHeap = std::make_unique<TlsfAllocator>(c->heapArena.data(),
                                                      c->heapArena.size());
         bool wantKasan = c->spec.hardenedWith(Hardening::Kasan) ||
@@ -504,7 +552,7 @@ Image::boot()
         c->hardening.cfiRegistry = &c->cfiRegistry;
     }
 
-    sharedArena.resize(cfg.sharedHeapBytes);
+    sharedArena = ZeroArena(cfg.sharedHeapBytes);
     sharedHeapAlloc = std::make_unique<TlsfAllocator>(sharedArena.data(),
                                                       sharedArena.size());
 

@@ -109,6 +109,34 @@ class WorkMultGuard
 };
 
 /**
+ * Demand-zero host memory for one arena that ukboot carves out (a
+ * compartment heap or data section, the shared heap). The pages are
+ * anonymous and private: every byte reads zero, yet a page costs no
+ * host time or RSS until the simulation first touches it. The arena
+ * ends at a PROT_NONE guard page, so a host overrun past its last byte
+ * faults in every build, sanitized or not.
+ */
+class ZeroArena
+{
+  public:
+    ZeroArena() = default;
+    explicit ZeroArena(std::size_t bytes);
+    ~ZeroArena();
+
+    ZeroArena(ZeroArena &&other) noexcept;
+    ZeroArena &operator=(ZeroArena &&other) noexcept;
+
+    char *data() const { return base; }
+    std::size_t size() const { return bytes; }
+
+  private:
+    void *mapping = nullptr;
+    std::size_t mappedBytes = 0;
+    char *base = nullptr;
+    std::size_t bytes = 0;
+};
+
+/**
  * A compartment instance: protection key, private heap + allocator,
  * static data section, hardening state.
  */
@@ -150,9 +178,9 @@ class Compartment
     Allocator *heap = nullptr;
 
     /** Arena backing the private heap (registered in the region map). */
-    std::vector<char> heapArena;
+    ZeroArena heapArena;
     /** Per-compartment static data section (.data/.bss analogue). */
-    std::vector<char> dataSection;
+    ZeroArena dataSection;
 
     std::unique_ptr<TlsfAllocator> rawHeap;
     std::unique_ptr<KasanHeap> kasanHeap;
@@ -349,6 +377,8 @@ class Image
     void *sharedAlloc(std::size_t n);
     void sharedFree(void *p);
     Allocator &sharedHeap() { return *sharedHeapAlloc; }
+    /** Host memory backing the shared heap. */
+    const ZeroArena &sharedHeapArena() const { return sharedArena; }
     /** Private heap of a library's compartment. */
     Allocator &heapOf(const std::string &lib);
     /** @} */
@@ -689,7 +719,7 @@ class Image
     /** Scheduler thread-exit listener id (sim-stack reaping). */
     int threadExitListener = -1;
 
-    std::vector<char> sharedArena;
+    ZeroArena sharedArena;
     std::unique_ptr<TlsfAllocator> sharedHeapAlloc;
 
     /** Row-major [from * n + to] buckets for rate-limited boundaries. */

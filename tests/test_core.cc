@@ -8,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "core/config.hh"
 #include "core/dss.hh"
@@ -935,6 +940,68 @@ TEST_F(CoreFixture, CrossingsAreCounted)
     auto it = crossings.find({0, 1});
     ASSERT_NE(it, crossings.end());
     EXPECT_EQ(it->second, 3u);
+}
+
+// ---------------------------------------------------------------- ukboot
+
+/** Pages of [p, p + n) the host holds resident, by mincore(). */
+std::size_t
+residentPages(const char *p, std::size_t n)
+{
+    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+    auto first = reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+    auto end = reinterpret_cast<std::uintptr_t>(p) + n;
+    std::vector<unsigned char> resident((end - first + page - 1) / page);
+    EXPECT_EQ(mincore(reinterpret_cast<void *>(first), end - first,
+                      resident.data()),
+              0);
+    return static_cast<std::size_t>(std::count_if(
+        resident.begin(), resident.end(),
+        [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+using ArenaDeathTest = CoreFixture;
+
+TEST_F(ArenaDeathTest, BootedArenasAreDemandZeroAndGuarded)
+{
+    // The default 8 MiB compartment heaps, not the fixture's 1 MiB.
+    SafetyConfig cfg = SafetyConfig::parse(twoCompMpk);
+    ASSERT_EQ(cfg.heapBytes, std::size_t{8} << 20);
+    auto img = tc.build(mach, sched, cfg);
+
+    struct Arena
+    {
+        const ZeroArena *mem;
+        bool tlsf; ///< a heap: TLSF wrote a block header at each end
+    };
+    std::vector<Arena> arenas{{&img->sharedHeapArena(), true}};
+    for (std::size_t i = 0; i < img->compartmentCount(); ++i) {
+        arenas.push_back({&img->compartmentAt(i).heapArena, true});
+        arenas.push_back({&img->compartmentAt(i).dataSection, false});
+    }
+    ASSERT_EQ(arenas[1].mem->size(), cfg.heapBytes);
+
+    // Boot touched only the pages holding TLSF's two headers: the
+    // rest of each arena costs the host nothing yet. Checked before
+    // the reads below map anything in.
+    for (const Arena &a : arenas)
+        EXPECT_LE(residentPages(a.mem->data(), a.mem->size()),
+                  a.tlsf ? 2u : 0u);
+
+    // Every other byte reads zero, as a value-initialised arena did.
+    for (const Arena &a : arenas) {
+        std::size_t edge = a.tlsf ? 32 : 0;
+        const char *p = a.mem->data();
+        std::size_t n = a.mem->size();
+        EXPECT_EQ(std::count(p + edge, p + n - edge, 0),
+                  static_cast<std::ptrdiff_t>(n - 2 * edge));
+    }
+
+    // A host write one byte past an arena lands on its guard page.
+    for (const Arena &a : arenas)
+        EXPECT_DEATH(
+            static_cast<volatile char *>(a.mem->data())[a.mem->size()] = 1,
+            "");
 }
 
 } // namespace
